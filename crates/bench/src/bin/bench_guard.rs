@@ -251,9 +251,7 @@ fn incremental_gate(baseline_path: &str, tolerance: f64, advisory: bool) {
     for r in &fresh {
         let committed_ratio = committed
             .iter()
-            .find(|row| {
-                row.get("name").and_then(Json::as_str) == Some(r.name)
-            })
+            .find(|row| row.get("name").and_then(Json::as_str) == Some(r.name))
             .and_then(|row| float_field(row, "iter_ratio"));
         println!(
             "{:<10} {:<14} {:>11.1}% {:>9.1}% {:>7.1}% {:>7.1}%",

@@ -115,7 +115,11 @@ fn duplicate_clause_edit_reconverges_on_every_benchmark() {
             .unwrap_or_else(|e| panic!("{}: duplicate-clause edit failed: {e}", b.name));
         assert_partition(b.name, &stats);
         assert_eq!(stats.preds_changed, 1, "{}: only the entry changed", b.name);
-        assert!(stats.entries_reset >= 1, "{}: the entry entry resets", b.name);
+        assert!(
+            stats.entries_reset >= 1,
+            "{}: the entry entry resets",
+            b.name
+        );
         assert_eq!(stats.entries_dropped, 0, "{}: nothing was removed", b.name);
         assert_matches_cold(b.name, &mut ws, &b);
     }
@@ -140,7 +144,10 @@ fn leaf_edit_resets_only_its_cone() {
     assert_eq!(stats.preds_changed, 1, "only pop/2 changed");
     assert_eq!(stats.entries_before, 5);
     assert_eq!(stats.entries_kept, 1, "area/2 survives outside the cone");
-    assert_eq!(stats.entries_reset, 4, "pop, density, query/1, query/0 reset");
+    assert_eq!(
+        stats.entries_reset, 4,
+        "pop, density, query/1, query/0 reset"
+    );
     assert_eq!(stats.entries_dropped, 0);
     assert_eq!(stats.frontier, 4);
     assert!(stats.refix_explorations > 0, "the repair run did real work");

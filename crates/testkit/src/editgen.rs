@@ -69,9 +69,7 @@ fn render_call(rng: &mut Rng, name: &str, arity: usize) -> String {
     if arity == 0 {
         return name.to_owned();
     }
-    let args: Vec<String> = (0..arity)
-        .map(|_| term_source(&gen_term(rng, 2)))
-        .collect();
+    let args: Vec<String> = (0..arity).map(|_| term_source(&gen_term(rng, 2))).collect();
     format!("{name}({})", args.join(", "))
 }
 
@@ -175,9 +173,7 @@ pub fn gen_edit(rng: &mut Rng, program: &Program) -> ProgramEdit {
             let text = render(program);
             let candidates: Vec<&PredInfo> = preds
                 .iter()
-                .filter(|p| {
-                    p.name != "p0" && !mentioned_outside_own_clauses(program, &text, p)
-                })
+                .filter(|p| p.name != "p0" && !mentioned_outside_own_clauses(program, &text, p))
                 .collect();
             if candidates.is_empty() {
                 let p = &preds[pick(rng)];
@@ -259,7 +255,9 @@ mod tests {
                     .apply(&program)
                     .unwrap_or_else(|e| panic!("case {case} edit {edit_idx} ({edit:?}): {e}"));
                 program = prolog_syntax::parse_program(&new_source).unwrap_or_else(|e| {
-                    panic!("case {case} edit {edit_idx}: edited source unparseable: {e}\n{new_source}")
+                    panic!(
+                        "case {case} edit {edit_idx}: edited source unparseable: {e}\n{new_source}"
+                    )
                 });
                 applied += 1;
             }
@@ -291,7 +289,8 @@ mod tests {
         ];
         // "Failure" iff the sequence still contains the y edit.
         let min = minimize_edits(&edits, &mut |seq| {
-            seq.iter().any(|e| matches!(e, ProgramEdit::AddClause { clause } if clause == "y."))
+            seq.iter()
+                .any(|e| matches!(e, ProgramEdit::AddClause { clause } if clause == "y."))
         });
         assert_eq!(min.len(), 1);
     }
@@ -303,7 +302,10 @@ mod tests {
         for seed in 0..64 {
             let mut rng = Rng::new(seed);
             if let ProgramEdit::RemovePredicate { pred, .. } = gen_edit(&mut rng, &program) {
-                assert_eq!(pred, "p2", "only the uncalled non-entry predicate is removable");
+                assert_eq!(
+                    pred, "p2",
+                    "only the uncalled non-entry predicate is removable"
+                );
             }
         }
     }
