@@ -119,26 +119,6 @@ fn domain_micro() {
             MIN_MS,
         ),
     );
-    report(
-        "domain",
-        "match_hit",
-        time_us(
-            || {
-                black_box(awam_core::matcher::matches(&heap, &cells, 4, &p));
-            },
-            MIN_MS,
-        ),
-    );
-    report(
-        "domain",
-        "match_miss",
-        time_us(
-            || {
-                black_box(awam_core::matcher::matches(&heap, &cells, 4, &q));
-            },
-            MIN_MS,
-        ),
-    );
 }
 
 fn main() {

@@ -21,10 +21,10 @@ fn main() {
     let pred = compiled.predicate(b.entry, entry.arity()).unwrap();
 
     let start = std::time::Instant::now();
-    let mut machine = awam_core::AbstractMachine::new(&compiled, 4, awam_core::EtImpl::Linear);
+    let mut machine = awam_core::AbstractMachine::new(&compiled, 4);
     let mut calls = 0;
     for _ in 0..reps {
-        machine = awam_core::AbstractMachine::new(&compiled, 4, awam_core::EtImpl::Linear);
+        machine = awam_core::AbstractMachine::new(&compiled, 4);
         // The per-phase nanosecond counters are opt-in (they cost an
         // Instant read per call on the hot path).
         machine.profile_timing = true;

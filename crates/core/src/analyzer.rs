@@ -2,9 +2,9 @@
 //!
 //! The API has three layers:
 //!
-//! * [`AnalyzerBuilder`] holds the knobs (term depth, extension-table
-//!   implementation, domain restriction, iteration strategy, profiling)
-//!   and produces a compiled [`Analyzer`];
+//! * [`AnalyzerBuilder`] holds the knobs (term depth, domain
+//!   restriction, iteration strategy, profiling) and produces a compiled
+//!   [`Analyzer`];
 //! * [`Analyzer`] is **immutable**: [`Analyzer::analyze`] takes `&self`,
 //!   so one compiled analyzer can serve many queries — and many threads
 //!   ([`Analyzer::analyze_batch`]) — concurrently;
@@ -14,7 +14,7 @@
 
 use crate::machine::{AbstractMachine, AnalysisError};
 use crate::provenance::DerivationReport;
-use crate::table::{Entry, EtImpl, ExtensionTable};
+use crate::table::{Entry, ExtensionTable};
 use crate::{IterationStrategy, Session};
 use absdom::{
     AbsLeaf, DomainConfig, Pattern, PatternInterner, SessionInterner, DEFAULT_TERM_DEPTH,
@@ -34,7 +34,7 @@ use wam::{compile_program, CompileError, CompiledProgram};
 /// # Examples
 ///
 /// ```
-/// use awam_core::{Analyzer, EtImpl, IterationStrategy};
+/// use awam_core::{Analyzer, IterationStrategy};
 /// use prolog_syntax::parse_program;
 ///
 /// let program = parse_program(
@@ -42,7 +42,6 @@ use wam::{compile_program, CompileError, CompiledProgram};
 /// )?;
 /// let analyzer = Analyzer::builder()
 ///     .depth(4)
-///     .et_impl(EtImpl::Hashed)
 ///     .strategy(IterationStrategy::Dependency)
 ///     .compile(&program)?;
 /// let analysis = analyzer.analyze_query("app", &["glist", "glist", "var"])?;
@@ -52,7 +51,6 @@ use wam::{compile_program, CompileError, CompiledProgram};
 #[derive(Clone, Copy, Debug)]
 pub struct AnalyzerBuilder {
     depth_k: usize,
-    et_impl: EtImpl,
     config: DomainConfig,
     strategy: IterationStrategy,
     profile_timing: bool,
@@ -62,13 +60,11 @@ pub struct AnalyzerBuilder {
 }
 
 impl Default for AnalyzerBuilder {
-    /// The paper's settings: term depth 4, linear-list extension table,
-    /// full domain, global-restart fixpoint, no profiling, no
-    /// provenance.
+    /// The paper's settings: term depth 4, full domain, global-restart
+    /// fixpoint, no profiling, no provenance.
     fn default() -> Self {
         AnalyzerBuilder {
             depth_k: DEFAULT_TERM_DEPTH,
-            et_impl: EtImpl::Linear,
             config: DomainConfig::FULL,
             strategy: IterationStrategy::GlobalRestart,
             profile_timing: false,
@@ -89,13 +85,6 @@ impl AnalyzerBuilder {
     #[must_use]
     pub fn depth(mut self, depth_k: usize) -> AnalyzerBuilder {
         self.depth_k = depth_k;
-        self
-    }
-
-    /// Choose the extension-table implementation (ablation B).
-    #[must_use]
-    pub fn et_impl(mut self, et_impl: EtImpl) -> AnalyzerBuilder {
-        self.et_impl = et_impl;
         self
     }
 
@@ -190,7 +179,6 @@ impl AnalyzerBuilder {
         Analyzer {
             program,
             depth_k: self.depth_k,
-            et_impl: self.et_impl,
             config: self.config,
             strategy: self.strategy,
             profile_timing: self.profile_timing,
@@ -231,7 +219,6 @@ impl AnalyzerBuilder {
 pub struct Analyzer {
     program: CompiledProgram,
     depth_k: usize,
-    et_impl: EtImpl,
     config: DomainConfig,
     strategy: IterationStrategy,
     profile_timing: bool,
@@ -370,8 +357,8 @@ pub struct ProfileData {
 }
 
 impl Analyzer {
-    /// A builder with the paper's default settings (term depth 4,
-    /// linear-list extension table, full domain, global restart).
+    /// A builder with the paper's default settings (term depth 4, full
+    /// domain, global restart).
     pub fn builder() -> AnalyzerBuilder {
         AnalyzerBuilder::default()
     }
@@ -401,11 +388,6 @@ impl Analyzer {
         &self.program.interner
     }
 
-    /// The extension-table implementation this analyzer uses.
-    pub fn et_impl(&self) -> EtImpl {
-        self.et_impl
-    }
-
     /// Whether derivation provenance tracking is on (see
     /// [`AnalyzerBuilder::provenance`]).
     pub fn provenance_enabled(&self) -> bool {
@@ -425,7 +407,6 @@ impl Analyzer {
     pub fn config_builder(&self) -> AnalyzerBuilder {
         AnalyzerBuilder {
             depth_k: self.depth_k,
-            et_impl: self.et_impl,
             config: self.config,
             strategy: self.strategy,
             profile_timing: self.profile_timing,
@@ -570,7 +551,7 @@ impl Analyzer {
     ) -> Result<(Analysis, ExtensionTable, SessionInterner), AnalysisError> {
         let (mut table, interner) = seed.unwrap_or_else(|| {
             (
-                ExtensionTable::new(self.program.predicates.len(), self.et_impl),
+                ExtensionTable::new(self.program.predicates.len()),
                 self.new_session_interner(),
             )
         });
@@ -580,8 +561,7 @@ impl Analyzer {
             // with blank derivations; fresh tables track from entry 0.
             table.enable_provenance();
         }
-        let mut machine =
-            AbstractMachine::with_table(&self.program, self.depth_k, self.et_impl, table, interner);
+        let mut machine = AbstractMachine::with_table(&self.program, self.depth_k, table, interner);
         machine.set_domain_config(self.config);
         machine.set_strategy(self.strategy);
         machine.set_step_budget(step_budget);

@@ -61,7 +61,7 @@ const ARGS_POOL_CAP: usize = 4096;
 /// entry at once). The linear pair-vector it replaced was quadratic in
 /// pattern size, which showed up on struct-heavy benchmarks.
 #[derive(Debug, Default)]
-pub(crate) struct AddrMap {
+struct AddrMap {
     /// `slots[addr] = (generation, node)`; a stale generation means empty.
     slots: Vec<(u32, NodeId)>,
     gen: u32,
@@ -69,7 +69,7 @@ pub(crate) struct AddrMap {
 
 impl AddrMap {
     /// Start a new extraction over a heap of `len` cells.
-    pub(crate) fn begin(&mut self, len: usize) {
+    fn begin(&mut self, len: usize) {
         self.gen = self.gen.wrapping_add(1);
         if self.gen == 0 {
             // Generation counter wrapped: stamps from the previous epoch
@@ -82,14 +82,14 @@ impl AddrMap {
         }
     }
 
-    pub(crate) fn get(&self, addr: usize) -> Option<NodeId> {
+    fn get(&self, addr: usize) -> Option<NodeId> {
         match self.slots.get(addr) {
             Some(&(gen, id)) if gen == self.gen => Some(id),
             _ => None,
         }
     }
 
-    pub(crate) fn insert(&mut self, addr: usize, id: NodeId) {
+    fn insert(&mut self, addr: usize, id: NodeId) {
         self.slots[addr] = (self.gen, id);
     }
 }
@@ -598,8 +598,6 @@ mod tests {
             vec![0],
         );
         assert_eq!(pat, expected);
-        // The allocation-free matcher stays in lockstep on the same heap.
-        assert!(crate::matcher::matches(&heap, &[ACell::Ref(x)], 4, &pat));
     }
 
     #[test]
@@ -630,12 +628,6 @@ mod tests {
             vec![0, 3],
         );
         assert_eq!(pat, expected);
-        assert!(crate::matcher::matches(
-            &heap,
-            &[ACell::Lis(p), ACell::Lis(q)],
-            4,
-            &pat
-        ));
     }
 
     #[test]

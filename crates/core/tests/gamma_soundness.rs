@@ -13,7 +13,7 @@
 //! `AWAM_FUZZ_ITERS`.
 
 use absdom::AbsLeaf;
-use awam_core::{extract::extract, ACell, AbstractMachine, EtImpl};
+use awam_core::{extract::extract, ACell, AbstractMachine};
 use awam_testkit::{fuzz_iters, gamma_instance, random_pattern, Rng};
 use prolog_syntax::{Term, VarId};
 use std::collections::HashMap;
@@ -112,7 +112,7 @@ fn abstract_unify_is_gamma_sound() {
         let concrete_ok = unify_terms(&t, &u, &mut subst);
 
         // Abstract unification of the materialized patterns.
-        let mut machine = AbstractMachine::new(&compiled, 4, EtImpl::Linear);
+        let mut machine = AbstractMachine::new(&compiled, 4);
         let ca = awam_core::extract::materialize(machine.heap_mut(), &pa)[0];
         let cb = awam_core::extract::materialize(machine.heap_mut(), &pb)[0];
         let abstract_ok = machine.unify_cells(ca, cb);
@@ -154,7 +154,7 @@ fn constrain_ground_is_gamma_sound() {
             continue;
         }
 
-        let mut machine = AbstractMachine::new(&compiled, 4, EtImpl::Linear);
+        let mut machine = AbstractMachine::new(&compiled, 4);
         let cell = awam_core::extract::materialize(machine.heap_mut(), &pa)[0];
         let g_addr = machine.heap_mut().len();
         machine.heap_mut().push(ACell::Abs(AbsLeaf::Ground));

@@ -1,87 +1,9 @@
-//! Hash-consing equivalence: the interned consult path (hashed,
-//! id-keyed) must be observationally identical to the structural path
-//! (linear scan through the allocation-free matcher) — same per-predicate
-//! results, same rendered reports, byte-identical JSONL traces — on every
-//! Table 1 benchmark. Plus randomized checks that the session interner's
-//! memoized lattice operations agree with direct computation.
+//! Hash-consing: a real fixpoint run dedups its repeated patterns
+//! through the interner, plus randomized checks that the session
+//! interner's memoized lattice operations agree with direct computation.
 
 use absdom::{AbsLeaf, PNode, Pattern, SessionInterner};
-use awam_core::{Analyzer, EtImpl};
-use awam_obs::JsonlTracer;
-
-fn analyzer(b: &bench_suite::Benchmark, et: EtImpl) -> Analyzer {
-    let program = b.parse().expect("parse");
-    Analyzer::builder()
-        .et_impl(et)
-        .compile(&program)
-        .expect("compile")
-}
-
-#[test]
-fn interned_consult_matches_structural_on_all_benchmarks() {
-    for b in bench_suite::all() {
-        let entry = Pattern::from_spec(b.entry_specs).expect("specs");
-        let structural = analyzer(&b, EtImpl::Linear);
-        let interned = analyzer(&b, EtImpl::Hashed);
-        let lin = structural
-            .analyze(b.entry, &entry)
-            .expect("linear analysis");
-        let hash = interned.analyze(b.entry, &entry).expect("hashed analysis");
-        assert_eq!(
-            lin.predicates, hash.predicates,
-            "{}: per-predicate results diverge between consult paths",
-            b.name
-        );
-        assert_eq!(lin.iterations, hash.iterations, "{}", b.name);
-        assert_eq!(
-            lin.instructions_executed, hash.instructions_executed,
-            "{}: abstract work diverges",
-            b.name
-        );
-        // The rendered reports embed the table counters, whose scan-step
-        // accounting legitimately differs between a linear scan and an
-        // index probe — so compare only the result tables, not the
-        // counter lines.
-        let strip = |r: String| {
-            r.lines()
-                .filter(|l| !l.starts_with("extension table:"))
-                .collect::<Vec<_>>()
-                .join("\n")
-        };
-        assert_eq!(
-            strip(lin.report(&structural)),
-            strip(hash.report(&interned)),
-            "{}: rendered reports diverge",
-            b.name
-        );
-    }
-}
-
-#[test]
-fn traces_are_byte_identical_between_consult_paths() {
-    // The acceptance bar of the interning change: the serialized event
-    // stream a `--trace FILE` run writes must not change by a single
-    // byte when the lookup structure switches from structural equality
-    // scans to interned id probes.
-    for b in bench_suite::all() {
-        let entry = Pattern::from_spec(b.entry_specs).expect("specs");
-        let mut streams = Vec::new();
-        for et in [EtImpl::Linear, EtImpl::Hashed] {
-            let analyzer = analyzer(&b, et);
-            let mut tracer = JsonlTracer::new(Vec::new());
-            analyzer
-                .analyze_traced(b.entry, &entry, &mut tracer)
-                .expect("traced analysis");
-            streams.push(tracer.into_inner().expect("flush"));
-        }
-        assert!(!streams[0].is_empty(), "{}: empty trace", b.name);
-        assert_eq!(
-            streams[0], streams[1],
-            "{}: JSONL trace bytes differ between structural and interned paths",
-            b.name
-        );
-    }
-}
+use awam_core::Analyzer;
 
 #[test]
 fn end_to_end_interner_counters_show_dedup() {
@@ -94,19 +16,19 @@ fn end_to_end_interner_counters_show_dedup() {
         .find(|b| b.name == "nreverse")
         .expect("nreverse in suite");
     let entry = Pattern::from_spec(b.entry_specs).expect("specs");
-    for et in [EtImpl::Linear, EtImpl::Hashed] {
-        let analysis = analyzer(&b, et).analyze(b.entry, &entry).expect("analysis");
-        let i = analysis.intern_stats;
-        assert!(i.intern_hits > 0, "{et:?}: no dedup hits at all");
-        assert!(i.bytes_saved > 0, "{et:?}: dedup saved no bytes");
-        assert!(i.intern_misses <= i.intern_hits + i.intern_misses, "sanity");
-        // The stats surface carries the counters out.
-        let json = analysis.stats_json();
-        let interner = json.get("interner").expect("interner key in stats_json");
-        assert!(interner.get("intern_hits").is_some());
-        assert!(interner.get("lub_cache_hits").is_some());
-        assert!(interner.get("bytes_saved").is_some());
-    }
+    let program = b.parse().expect("parse");
+    let analyzer = Analyzer::compile(&program).expect("compile");
+    let analysis = analyzer.analyze(b.entry, &entry).expect("analysis");
+    let i = analysis.intern_stats;
+    assert!(i.intern_hits > 0, "no dedup hits at all");
+    assert!(i.bytes_saved > 0, "dedup saved no bytes");
+    assert!(i.intern_misses <= i.intern_hits + i.intern_misses, "sanity");
+    // The stats surface carries the counters out.
+    let json = analysis.stats_json();
+    let interner = json.get("interner").expect("interner key in stats_json");
+    assert!(interner.get("intern_hits").is_some());
+    assert!(interner.get("lub_cache_hits").is_some());
+    assert!(interner.get("bytes_saved").is_some());
 }
 
 // ----- randomized memo-cache agreement -----

@@ -17,9 +17,9 @@
 //!   drop clauses → drop goals → simplify terms) that re-checks the
 //!   failing oracle at every step;
 //! * [`oracle`] — the differential oracle matrix: concrete-call-coverage
-//!   soundness, structural-vs-interned ET equality, trace byte equality,
-//!   sequential-vs-batch equality, cold-vs-warm session equality, and
-//!   termination/step-budget;
+//!   soundness, sequential-vs-batch equality, cold-vs-warm session
+//!   equality, termination/step-budget, provenance and fusion
+//!   invisibility, and incremental-vs-cold equality;
 //! * [`campaign`] — the campaign driver gluing it all together, with
 //!   per-case replay seeds and JSON failure dumps.
 //!

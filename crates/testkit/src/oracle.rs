@@ -9,8 +9,6 @@
 //! | oracle      | equivalence checked                                        |
 //! |-------------|------------------------------------------------------------|
 //! | `soundness` | every traced concrete call is covered by the analysis (§4.1)|
-//! | `interning` | structural (Linear) and interned (Hashed) consult paths agree on results |
-//! | `traces`    | the two consult paths emit byte-identical JSONL traces      |
 //! | `batch`     | `analyze_batch` at 1/2/8 workers equals sequential runs     |
 //! | `sessions`  | a warm session hit answers exactly what the cold run said   |
 //! | `budget`    | analysis terminates within the iteration/instruction budget |
@@ -22,7 +20,7 @@ use crate::editgen::{gen_edit, minimize_edits};
 use crate::rng::{case_seed, Rng};
 use absdom::Pattern;
 use awam_core::incremental::{ProgramEdit, UpdateError, Workspace};
-use awam_core::{program_fingerprint, Analysis, AnalysisError, Analyzer, BatchGoal, EtImpl};
+use awam_core::{program_fingerprint, Analysis, AnalysisError, Analyzer, BatchGoal};
 use awam_obs::{JsonlTracer, RecordingTracer};
 use prolog_syntax::parse_program;
 use wam::compile_program;
@@ -45,10 +43,6 @@ const MAX_SOLUTIONS: usize = 64;
 pub enum Oracle {
     /// Concrete-call-coverage soundness.
     Soundness,
-    /// Structural-vs-interned ET result equality (Linear vs Hashed).
-    Interning,
-    /// Byte-identical JSONL traces between the two consult paths.
-    Traces,
     /// Sequential-vs-batch equality at 1, 2 and 8 workers.
     Batch,
     /// Cold-vs-warm session equality.
@@ -69,10 +63,8 @@ pub enum Oracle {
 
 impl Oracle {
     /// Every oracle, in matrix order.
-    pub const ALL: [Oracle; 9] = [
+    pub const ALL: [Oracle; 7] = [
         Oracle::Soundness,
-        Oracle::Interning,
-        Oracle::Traces,
         Oracle::Batch,
         Oracle::Sessions,
         Oracle::Budget,
@@ -85,8 +77,6 @@ impl Oracle {
     pub fn name(self) -> &'static str {
         match self {
             Oracle::Soundness => "soundness",
-            Oracle::Interning => "interning",
-            Oracle::Traces => "traces",
             Oracle::Batch => "batch",
             Oracle::Sessions => "sessions",
             Oracle::Budget => "budget",
@@ -131,8 +121,6 @@ pub fn check(oracle: Oracle, source: &str) -> Result<(), OracleOutcome> {
     let setup = Setup::new(source)?;
     match oracle {
         Oracle::Soundness => setup.soundness(),
-        Oracle::Interning => setup.interning(),
-        Oracle::Traces => setup.traces(),
         Oracle::Batch => setup.batch(),
         Oracle::Sessions => setup.sessions(),
         Oracle::Budget => setup.budget(),
@@ -177,12 +165,12 @@ impl Setup {
         Pattern::from_spec(&specs).expect("all-any specs are always valid")
     }
 
-    fn analyzer(&self, et: EtImpl) -> Analyzer {
-        Analyzer::builder().et_impl(et).build(self.compiled.clone())
+    fn analyzer(&self) -> Analyzer {
+        Analyzer::builder().build(self.compiled.clone())
     }
 
-    fn analyze(&self, et: EtImpl) -> Result<Analysis, OracleOutcome> {
-        self.analyzer(et)
+    fn analyze(&self) -> Result<Analysis, OracleOutcome> {
+        self.analyzer()
             .analyze("p0", &self.entry_pattern())
             .map_err(analysis_outcome)
     }
@@ -196,7 +184,7 @@ impl Setup {
     /// widening: the first solution follows the first clause, so only
     /// backtracked solutions can contradict a frozen summary.
     fn soundness(&self) -> Result<(), OracleOutcome> {
-        let analysis = self.analyze(EtImpl::Linear)?;
+        let analysis = self.analyze()?;
         let mut tracer = RecordingTracer::default();
         let mut machine = Machine::new(&self.compiled);
         machine.set_tracer(&mut tracer);
@@ -273,57 +261,10 @@ impl Setup {
         Ok(())
     }
 
-    /// The structural (Linear scan, allocation-free matcher) and interned
-    /// (Hashed, id-keyed probe) consult paths must agree on everything the
-    /// analysis says.
-    fn interning(&self) -> Result<(), OracleOutcome> {
-        let lin = self.analyze(EtImpl::Linear)?;
-        let hash = self.analyze(EtImpl::Hashed)?;
-        if lin.predicates != hash.predicates {
-            return Err(OracleOutcome::Violation(
-                "per-predicate results diverge between Linear and Hashed consult paths".into(),
-            ));
-        }
-        if lin.iterations != hash.iterations {
-            return Err(OracleOutcome::Violation(format!(
-                "iteration counts diverge: Linear {} vs Hashed {}",
-                lin.iterations, hash.iterations
-            )));
-        }
-        if lin.instructions_executed != hash.instructions_executed {
-            return Err(OracleOutcome::Violation(format!(
-                "abstract work diverges: Linear {} vs Hashed {} instructions",
-                lin.instructions_executed, hash.instructions_executed
-            )));
-        }
-        Ok(())
-    }
-
-    /// The serialized event stream must not change by a byte when the
-    /// lookup structure switches from structural scans to id probes.
-    fn traces(&self) -> Result<(), OracleOutcome> {
-        let entry = self.entry_pattern();
-        let mut streams = Vec::new();
-        for et in [EtImpl::Linear, EtImpl::Hashed] {
-            let analyzer = self.analyzer(et);
-            let mut tracer = JsonlTracer::new(Vec::new());
-            analyzer
-                .analyze_traced("p0", &entry, &mut tracer)
-                .map_err(analysis_outcome)?;
-            streams.push(tracer.into_inner().map_err(|e| infra("trace flush", e))?);
-        }
-        if streams[0] != streams[1] {
-            return Err(OracleOutcome::Violation(
-                "JSONL trace bytes differ between structural and interned consult paths".into(),
-            ));
-        }
-        Ok(())
-    }
-
     /// `analyze_batch` is a pure speedup: goal-for-goal identical to
     /// sequential runs at every worker count.
     fn batch(&self) -> Result<(), OracleOutcome> {
-        let analyzer = self.analyzer(EtImpl::Linear);
+        let analyzer = self.analyzer();
         // One goal per live predicate (all-`any` entries), so the batch
         // exercises more than the entry point.
         let goals: Vec<BatchGoal> = self
@@ -370,7 +311,7 @@ impl Setup {
     /// A repeated query through one session is a warm hit that answers
     /// exactly what the cold run answered.
     fn sessions(&self) -> Result<(), OracleOutcome> {
-        let analyzer = self.analyzer(EtImpl::Linear);
+        let analyzer = self.analyzer();
         let entry = self.entry_pattern();
         let mut session = analyzer.session();
         let cold = session.analyze("p0", &entry).map_err(analysis_outcome)?;
@@ -400,7 +341,7 @@ impl Setup {
     /// rails (no `IterationLimit`/`DepthLimit`) and inside the abstract
     /// instruction budget.
     fn budget(&self) -> Result<(), OracleOutcome> {
-        let analysis = self.analyze(EtImpl::Linear)?;
+        let analysis = self.analyze()?;
         if analysis.instructions_executed > ABSTRACT_INSTR_BUDGET {
             return Err(OracleOutcome::Violation(format!(
                 "analysis executed {} abstract instructions (budget {})",
@@ -424,7 +365,6 @@ impl Setup {
         let mut derivations = None;
         for on in [false, true] {
             let analyzer = Analyzer::builder()
-                .et_impl(EtImpl::Linear)
                 .provenance(on)
                 .build(self.compiled.clone());
             let mut tracer = JsonlTracer::new(Vec::new());
@@ -475,10 +415,7 @@ impl Setup {
         let mut streams = Vec::new();
         let mut analyses = Vec::new();
         for fuse in [true, false] {
-            let analyzer = Analyzer::builder()
-                .et_impl(EtImpl::Linear)
-                .fuse(fuse)
-                .build(self.compiled.clone());
+            let analyzer = Analyzer::builder().fuse(fuse).build(self.compiled.clone());
             let mut tracer = JsonlTracer::new(Vec::new());
             let analysis = analyzer
                 .analyze_traced("p0", &entry, &mut tracer)

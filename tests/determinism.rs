@@ -75,35 +75,3 @@ fn jsonl_traces_are_byte_stable() {
     assert!(!streams[0].is_empty());
     assert_eq!(streams[0], streams[1]);
 }
-
-#[test]
-fn hashed_et_traces_are_stable_across_runs() {
-    // The hashed extension table indexes calling patterns through a map;
-    // a hash-ordered map would make entry numbering (and so the whole
-    // event stream) depend on per-process hash seeds. The index is a
-    // BTreeMap now, and this test keeps it that way.
-    use awam::analysis::EtImpl;
-    for b in suite::all() {
-        let mut traces = Vec::new();
-        for _ in 0..2 {
-            let program = b.parse().expect("parse");
-            let analyzer = Analyzer::builder()
-                .et_impl(EtImpl::Hashed)
-                .strategy(IterationStrategy::Dependency)
-                .compile(&program)
-                .expect("compile");
-            let entry = awam::absdom::Pattern::from_spec(b.entry_specs).expect("specs");
-            let mut tracer = RecordingTracer::default();
-            analyzer
-                .analyze_traced(b.entry, &entry, &mut tracer)
-                .expect("analysis");
-            traces.push(tracer.events);
-        }
-        assert!(!traces[0].is_empty(), "{}: empty trace", b.name);
-        assert_eq!(
-            traces[0], traces[1],
-            "{}: hashed-ET trace differs between runs",
-            b.name
-        );
-    }
-}

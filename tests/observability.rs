@@ -22,9 +22,9 @@ fn exact_counters_on_nreverse() {
     let analysis = analyzer.analyze_query("nrev", &["glist", "var"]).unwrap();
 
     // These are exact values for this program under the default settings
-    // (k = 4, linear ET, global restart). The analysis is deterministic,
-    // so any drift here means the machine's behavior changed — the test
-    // is a tripwire, not an approximation.
+    // (k = 4, global restart). The analysis is deterministic, so any
+    // drift here means the machine's behavior changed — the test is a
+    // tripwire, not an approximation.
     assert_eq!(analysis.iterations, 3);
     let t = &analysis.table_stats;
     assert_eq!(
@@ -59,6 +59,44 @@ fn exact_counters_on_nreverse() {
         analysis.instructions_executed
     );
     assert!(analysis.machine_stats.heap_high_water > 0);
+}
+
+/// The same kind of tripwire under a restricted domain, on the suite's
+/// nreverse. Outside the full domain every clause success goes through
+/// `update_success` (the machine's "summary unchanged" skip is
+/// full-domain only), so `summary_updates` and the `EtUpdate` events
+/// count every clause success.
+#[test]
+fn exact_counters_on_nreverse_without_aliasing() {
+    let b = awam::suite::by_name("nreverse").unwrap();
+    let program = b.parse().unwrap();
+    let analyzer = Analyzer::builder()
+        .domain_config(awam::absdom::DomainConfig {
+            aliasing: false,
+            ..awam::absdom::DomainConfig::FULL
+        })
+        .compile(&program)
+        .unwrap();
+    let entry = awam::absdom::Pattern::from_spec(b.entry_specs).unwrap();
+    let mut tracer = RecordingTracer::default();
+    let analysis = analyzer
+        .analyze_traced(b.entry, &entry, &mut tracer)
+        .unwrap();
+
+    let t = &analysis.table_stats;
+    assert_eq!(t.lookups, 88);
+    assert_eq!(t.hits, 65);
+    assert_eq!(t.misses, 23);
+    assert_eq!(t.inserts, 23);
+    assert_eq!(t.summary_updates, 85);
+    assert_eq!(t.lub_widenings, 14);
+    assert_eq!(t.version_bumps, 37);
+    let updates = tracer
+        .events
+        .iter()
+        .filter(|e| matches!(e, TraceEvent::EtUpdate { .. }))
+        .count();
+    assert_eq!(updates, 85);
 }
 
 #[test]
