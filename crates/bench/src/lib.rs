@@ -16,7 +16,7 @@
 //! * `opt_report` — the optimizations the analysis enables (`wam-opt`);
 //! * `run_concrete` — concrete execution times of the benchmarks (sanity
 //!   check that the substrate WAM actually runs them);
-//! * `hosted_check` / `hosted_dump` / `prof` — inspection tools.
+//! * `hosted_check` / `hosted_dump` — inspection tools.
 
 use absdom::Pattern;
 use awam_core::{Analyzer, ProgramEdit, Workspace};

@@ -20,11 +20,12 @@ use absdom::{
     AbsLeaf, DomainConfig, Pattern, PatternInterner, SessionInterner, DEFAULT_TERM_DEPTH,
 };
 use awam_obs::{
-    InternStats, Json, MachineStats, MetricsRegistry, OpcodeCounts, SpanProfiler, Stopwatch,
-    TableStats, Tracer,
+    InternStats, Json, MachineStats, MetricsRegistry, OpcodeCounts, SpanProfiler, TableStats,
+    Tracer,
 };
 use prolog_syntax::Program;
 use std::sync::Arc;
+use std::time::Instant;
 use wam::{compile_program, CompileError, CompiledProgram};
 
 /// Configuration for building an [`Analyzer`]: the ablation knobs of the
@@ -102,9 +103,11 @@ impl AnalyzerBuilder {
         self
     }
 
-    /// Enable fine-grained profiling: extraction/materialization/table
-    /// nanosecond counters and the per-predicate time breakdown. Off by
-    /// default because it reads the clock inside the analysis hot path.
+    /// Enable self-profiling: a span tree of the fixpoint run with the
+    /// materialize / extract / et-consult / et-update split of every
+    /// predicate span, the per-predicate time breakdown, and a metrics
+    /// registry ([`Analysis::profile`]). Off by default because it reads
+    /// the clock inside the analysis hot path.
     #[must_use]
     pub fn profiling(mut self, on: bool) -> AnalyzerBuilder {
         self.profile_timing = on;
@@ -157,9 +160,9 @@ impl AnalyzerBuilder {
     ///
     /// Propagates [`CompileError`] from the WAM compiler.
     pub fn compile(&self, program: &Program) -> Result<Analyzer, CompileError> {
-        let watch = Stopwatch::start();
+        let start = Instant::now();
         let compiled = compile_program(program)?;
-        let compile_ns = watch.elapsed_ns();
+        let compile_ns = start.elapsed().as_nanos() as u64;
         let mut analyzer = self.build(compiled);
         analyzer.compile_ns = compile_ns;
         Ok(analyzer)
@@ -325,10 +328,10 @@ pub struct Analysis {
     pub machine_stats: MachineStats,
     /// Per-opcode dispatch counts (index with [`wam::OPCODE_NAMES`]).
     pub opcodes: OpcodeCounts,
-    /// Wall time of the fixpoint run in nanoseconds (0 when the `timing`
-    /// feature of `awam-obs` is off).
+    /// Wall time of the fixpoint run in nanoseconds.
     pub analyze_ns: u64,
-    /// Per-predicate self-time `(name, ns)`, descending; empty unless
+    /// Per-predicate self-time `(name, ns)`, descending: the predicate's
+    /// span totals minus their nested predicate spans. Empty unless
     /// profiling was enabled via [`AnalyzerBuilder::profiling`].
     pub pred_times: Vec<(String, u64)>,
     /// Per-predicate self-instructions `(name, count)`, descending;
@@ -348,8 +351,9 @@ pub struct Analysis {
 /// surface would scrape.
 #[derive(Clone, Debug)]
 pub struct ProfileData {
-    /// Hierarchical span tree: compile / iteration N / predicate /
-    /// et-consult, with call counts, total and self time.
+    /// Hierarchical span tree: compile / iteration N / predicate, each
+    /// run and predicate span with materialize / extract / et-consult /
+    /// et-update leaves, with call counts, total and self time.
     pub spans: SpanProfiler,
     /// Named counters and histograms (consult latency, per-iteration
     /// widening/growth deltas, per-predicate instruction heat).
@@ -569,25 +573,10 @@ impl Analyzer {
         if let Some(tracer) = tracer {
             machine.set_tracer(tracer);
         }
-        let watch = Stopwatch::start();
+        let start = Instant::now();
         let iterations = machine.run_to_fixpoint(pred, entry)?;
-        let analyze_ns = watch.elapsed_ns();
+        let analyze_ns = start.elapsed().as_nanos() as u64;
         let predicates = self.collect_predicates(machine.table(), machine.interner());
-        let mut pred_times: Vec<(String, u64)> = machine
-            .pred_self_ns()
-            .iter()
-            .enumerate()
-            .filter(|(_, &ns)| ns > 0)
-            .map(|(id, &ns)| {
-                (
-                    self.program.predicates[id]
-                        .key
-                        .display(&self.program.interner),
-                    ns,
-                )
-            })
-            .collect();
-        pred_times.sort_by_key(|&(_, ns)| std::cmp::Reverse(ns));
         let mut pred_instrs: Vec<(String, u64)> = machine
             .pred_instr_self()
             .iter()
@@ -611,6 +600,17 @@ impl Analyzer {
             metrics.counter_add("compile_ns", self.compile_ns);
             metrics.counter_add("fixpoint.iterations", iterations);
             ProfileData { spans, metrics }
+        });
+        // A predicate's self time: its spans' totals minus their nested
+        // predicate spans. Predicate spans sit below the run spans
+        // (`iteration N`, `worklist`, `repair`), at depth 2 and deeper.
+        let pred_times = profile.as_ref().map_or_else(Vec::new, |p| {
+            p.spans
+                .self_ns_by_name(2)
+                .into_iter()
+                .filter(|&(_, ns)| ns > 0)
+                .map(|(name, ns)| (name.to_owned(), ns))
+                .collect()
         });
         let analysis = Analysis {
             predicates,

@@ -13,7 +13,7 @@
 //! a call site.
 
 use crate::acell::ACell;
-use absdom::{AbsLeaf, NodeId, PNode, Pattern, PatternId, SessionInterner};
+use absdom::{AbsLeaf, NodeId, PNode, Pattern};
 
 /// Follow reference chains; returns the representative cell and its heap
 /// address when it has one (open cells and compounds always do). This is
@@ -34,8 +34,8 @@ pub fn extract(heap: &[ACell], args: &[ACell], depth_k: usize) -> Pattern {
 /// walks through, including the output pattern itself. The abstract
 /// machine extracts a pattern per consult and per summary update; holding
 /// one scratch per machine keeps that path off the allocator entirely
-/// (pair with [`SessionInterner::intern_ref`], which clones the output
-/// only when the arena has never seen it).
+/// (pair with [`absdom::SessionInterner::intern_ref`], which clones the
+/// output only when the arena has never seen it).
 #[derive(Debug, Default)]
 pub struct ExtractScratch {
     map: AddrMap,
@@ -140,19 +140,6 @@ pub fn extract_with<'s>(
     // ground subgraphs unshared), so the canonicalization pass is skipped.
     scratch.out = Pattern::from_canonical(ex.nodes, roots);
     &scratch.out
-}
-
-/// Extract the pattern of `args` and intern it in one step — the
-/// hash-consed construction path the abstract machine uses: the pattern
-/// graph is built once and deduplicated against the arena immediately,
-/// so every later comparison is an integer compare on the returned id.
-pub fn extract_interned(
-    heap: &[ACell],
-    args: &[ACell],
-    depth_k: usize,
-    interner: &mut SessionInterner,
-) -> PatternId {
-    interner.intern(extract(heap, args, depth_k))
 }
 
 struct Extractor<'h> {

@@ -27,8 +27,7 @@ use crate::IterationStrategy;
 use absdom::{AbsLeaf, DomainConfig, Pattern, PatternId, SessionInterner};
 use awam_exec::{Flow, Frame, Interpretation, Mode};
 use awam_obs::{
-    Histogram, MachineStats, MetricsRegistry, OpcodeCounts, SpanProfiler, Stopwatch, TraceEvent,
-    Tracer,
+    Histogram, Layer, MachineStats, MetricsRegistry, OpcodeCounts, SpanProfiler, TraceEvent, Tracer,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -130,36 +129,23 @@ pub struct AbstractMachine<'p> {
     iter: u64,
     /// Number of `solve_call` invocations (profiling aid).
     pub call_count: u64,
-    /// Nanoseconds spent in pattern extraction (needs
-    /// [`Self::profile_timing`]).
-    pub extract_ns: u64,
-    /// Nanoseconds spent in materialization (needs
-    /// [`Self::profile_timing`]).
-    pub materialize_ns: u64,
-    /// Nanoseconds spent in table find/update incl. lub (needs
-    /// [`Self::profile_timing`]).
-    pub table_ns: u64,
-    /// When true, the clock is read around extraction, materialization,
-    /// table work, and per-predicate exploration. Off by default: clock
-    /// reads in the dispatch loop are measurable overhead.
+    /// When true, fixpoint runs record a span tree: one span per run and
+    /// per explored predicate, with the materialize / extract /
+    /// et-consult / et-update layers charged to each span's fixed leaf
+    /// slots. Off by default: clock reads in the dispatch loop are
+    /// measurable overhead.
     pub profile_timing: bool,
     /// Backtracks plus high-water marks; instruction/call totals are
     /// folded in by [`Self::machine_stats`].
     stats: MachineStats,
-    /// Self-time per predicate in nanoseconds (needs
-    /// [`Self::profile_timing`]).
-    pred_self_ns: Vec<u64>,
-    /// Child-exploration time accumulators, one per active
-    /// `explore_entry` frame.
-    pred_timer_stack: Vec<u64>,
     /// Self-instructions per predicate (needs [`Self::profile_timing`]):
     /// dispatch counts attributed to the predicate being explored,
     /// excluding nested explorations.
     pred_instr_self: Vec<u64>,
     /// `(executed snapshot, child instructions)` per active
-    /// `explore_entry` frame, mirroring the timer stack.
+    /// `explore_entry` frame.
     pred_instr_stack: Vec<(u64, u64)>,
-    /// Hierarchical span tree (iteration / predicate / et-consult),
+    /// Hierarchical span tree (run / predicate, with layer leaves),
     /// allocated lazily when [`Self::profile_timing`] is set.
     span: Option<SpanProfiler>,
     /// `name/arity` display strings, cached so span hooks never hit the
@@ -493,13 +479,8 @@ impl<'p> AbstractMachine<'p> {
             explorations: 0,
             iter,
             call_count: 0,
-            extract_ns: 0,
-            materialize_ns: 0,
-            table_ns: 0,
             profile_timing: false,
             stats: MachineStats::default(),
-            pred_self_ns: vec![0; program.predicates.len()],
-            pred_timer_stack: Vec::new(),
             pred_instr_self: vec![0; program.predicates.len()],
             pred_instr_stack: Vec::new(),
             span: None,
@@ -594,12 +575,6 @@ impl<'p> AbstractMachine<'p> {
         &self.frame.opcodes
     }
 
-    /// Self-time per predicate in nanoseconds (all zero unless
-    /// [`Self::profile_timing`] was set before the run).
-    pub fn pred_self_ns(&self) -> &[u64] {
-        &self.pred_self_ns
-    }
-
     /// Self-instructions per predicate (all zero unless
     /// [`Self::profile_timing`] was set before the run).
     pub fn pred_instr_self(&self) -> &[u64] {
@@ -608,8 +583,9 @@ impl<'p> AbstractMachine<'p> {
 
     /// Close the span tree and assemble the metrics registry for this
     /// run: consult latency, per-iteration widening/growth deltas, and
-    /// per-predicate instruction heat. `None` unless
-    /// [`Self::profile_timing`] was on (the registry would be empty).
+    /// per-predicate instruction heat (the tree and the histograms move
+    /// out of the machine). `None` unless [`Self::profile_timing`] was on
+    /// (the registry would be empty).
     pub fn take_profile(&mut self) -> Option<(SpanProfiler, MetricsRegistry)> {
         if !self.profile_timing {
             return None;
@@ -625,23 +601,19 @@ impl<'p> AbstractMachine<'p> {
         metrics.counter_add("et.lub_widenings", self.table.stats().lub_widenings);
         for (pred, &instr) in self.pred_instr_self.iter().enumerate() {
             if instr > 0 {
-                let name = self
-                    .pred_names
-                    .get(pred)
-                    .cloned()
-                    .unwrap_or_else(|| Self::pred_name(self.program, pred));
-                metrics.counter_add(&format!("pred.instructions.{name}"), instr);
+                let key = match self.pred_names.get(pred) {
+                    Some(name) => format!("pred.instructions.{name}"),
+                    None => format!("pred.instructions.{}", Self::pred_name(self.program, pred)),
+                };
+                metrics.counter_add(&key, instr);
             }
         }
-        metrics.insert_histogram("et.consult_ns", self.consult_hist.clone());
-        metrics.insert_histogram(
-            "fixpoint.iteration_widenings",
-            self.round_widen_hist.clone(),
-        );
-        metrics.insert_histogram(
-            "fixpoint.iteration_table_growth",
-            self.round_growth_hist.clone(),
-        );
+        let hist = std::mem::take(&mut self.consult_hist);
+        metrics.insert_histogram("et.consult_ns", hist);
+        let hist = std::mem::take(&mut self.round_widen_hist);
+        metrics.insert_histogram("fixpoint.iteration_widenings", hist);
+        let hist = std::mem::take(&mut self.round_growth_hist);
+        metrics.insert_histogram("fixpoint.iteration_table_growth", hist);
         Some((span, metrics))
     }
 
@@ -704,7 +676,6 @@ impl<'p> AbstractMachine<'p> {
     /// Semi-naive fixpoint: explore once, then re-explore only entries
     /// whose (transitive, via worklist propagation) inputs changed.
     fn run_worklist(&mut self, pred: usize, entry: &Pattern) -> Result<u64, AnalysisError> {
-        const MAX_EXPLORATIONS: u64 = 5_000_000;
         self.init_profiling();
         if let Some(span) = self.span.as_mut() {
             // One span for the whole semi-naive run: there are no global
@@ -722,21 +693,7 @@ impl<'p> AbstractMachine<'p> {
         }
         self.depth = 0;
         self.solve_call(pred)?;
-        while let Some((p, i)) = self.worklist.pop_front() {
-            self.queued.remove(&(p, i));
-            if self.explorations > MAX_EXPLORATIONS {
-                return Err(AnalysisError::IterationLimit);
-            }
-            self.check_budget()?;
-            self.stats.note_heap(self.frame.heap.len());
-            self.stats.note_trail(self.frame.trail.len());
-            self.frame.heap.clear();
-            self.frame.trail.clear();
-            self.frame.clear_envs();
-            self.frame.e = None;
-            self.depth = 0;
-            self.explore_entry(p, i)?;
-        }
+        self.drain_worklist()?;
         if let Some(span) = self.span.as_mut() {
             span.exit();
         }
@@ -759,7 +716,6 @@ impl<'p> AbstractMachine<'p> {
     /// [`AnalysisError::IterationLimit`] if the exploration bound trips,
     /// or a budget/depth error propagated from clause execution.
     pub fn run_repair(&mut self, frontier: &[(usize, usize)]) -> Result<u64, AnalysisError> {
-        const MAX_EXPLORATIONS: u64 = 5_000_000;
         self.init_profiling();
         let saved_strategy = self.strategy;
         self.strategy = IterationStrategy::Dependency;
@@ -772,7 +728,7 @@ impl<'p> AbstractMachine<'p> {
                 self.worklist.push_back(e);
             }
         }
-        let result = self.drain_repair_worklist(MAX_EXPLORATIONS);
+        let result = self.drain_worklist();
         self.strategy = saved_strategy;
         if let Some(span) = self.span.as_mut() {
             span.exit();
@@ -781,12 +737,15 @@ impl<'p> AbstractMachine<'p> {
         Ok(self.explorations)
     }
 
-    /// The drain loop of [`Self::run_repair`], split out so the strategy
-    /// restore straddles it on both the success and error paths.
-    fn drain_repair_worklist(&mut self, max_explorations: u64) -> Result<(), AnalysisError> {
+    /// Re-explore queued entries until the worklist is empty: the drain
+    /// loop of the worklist strategy and of [`Self::run_repair`] (split
+    /// out there so the strategy restore straddles it on both the success
+    /// and error paths).
+    fn drain_worklist(&mut self) -> Result<(), AnalysisError> {
+        const MAX_EXPLORATIONS: u64 = 5_000_000;
         while let Some((p, i)) = self.worklist.pop_front() {
             self.queued.remove(&(p, i));
-            if self.explorations > max_explorations {
+            if self.explorations > MAX_EXPLORATIONS {
                 return Err(AnalysisError::IterationLimit);
             }
             self.check_budget()?;
@@ -797,6 +756,8 @@ impl<'p> AbstractMachine<'p> {
             self.frame.clear_envs();
             self.frame.e = None;
             self.depth = 0;
+            // No consult precedes a worklist exploration to begin its span.
+            self.mark_layer();
             self.explore_entry(p, i)?;
         }
         Ok(())
@@ -907,6 +868,33 @@ impl<'p> AbstractMachine<'p> {
         }
     }
 
+    /// Read the clock where the current span's own work ends and a layer
+    /// begins (see [`SpanProfiler::mark`]); a no-op unless profiling.
+    #[inline]
+    fn mark_layer(&mut self) {
+        if let Some(span) = self.span.as_mut() {
+            span.mark();
+        }
+    }
+
+    /// End a fixpoint layer and charge it to the current span's slot
+    /// (see [`SpanProfiler::lap`]); a no-op unless profiling.
+    #[inline]
+    fn lap_layer(&mut self, layer: Layer) {
+        if let Some(span) = self.span.as_mut() {
+            span.lap(layer);
+        }
+    }
+
+    /// End an ET consult: charge it to the current span and record its
+    /// latency (profiling only).
+    #[inline]
+    fn lap_consult(&mut self) {
+        if let Some(span) = self.span.as_mut() {
+            self.consult_hist.record(span.lap(Layer::EtConsult));
+        }
+    }
+
     // ----- the reinterpreted `call` (Figure 5) -----
 
     /// Abstractly invoke predicate `pred` with arguments in `A1..An`.
@@ -926,17 +914,9 @@ impl<'p> AbstractMachine<'p> {
         // Interned consult: build + intern the calling pattern once, then
         // the lookup is a single id-indexed probe (`ExtensionTable::find`
         // asserts probe/scan parity in debug builds).
-        let t0 = self.profile_timing.then(Stopwatch::start);
+        self.mark_layer();
         let cp = self.extract_pattern_id(&caller_args);
         let found = self.table.find(pred, cp);
-        if let Some(t0) = t0 {
-            let consult_ns = t0.elapsed_ns();
-            self.table_ns += consult_ns;
-            self.consult_hist.record(consult_ns);
-            if let Some(span) = self.span.as_mut() {
-                span.record("et-consult", 1, consult_ns);
-            }
-        }
         if self.tracer.is_some() {
             let pattern = self
                 .extract_pattern(&caller_args)
@@ -968,6 +948,7 @@ impl<'p> AbstractMachine<'p> {
                     IterationStrategy::Dependency => true,
                 };
                 if explored {
+                    self.lap_consult();
                     let success = self.table.entry(pred, idx).success;
                     self.note_dep(pred, idx);
                     let ok = match success {
@@ -1013,6 +994,9 @@ impl<'p> AbstractMachine<'p> {
                 idx
             }
         };
+        // The consult (insertion included) ends with the read the callee's
+        // predicate span begins at.
+        self.lap_consult();
         self.explore_entry(pred, entry_idx)?;
         self.note_dep(pred, entry_idx);
         let success = self.table.entry(pred, entry_idx).success;
@@ -1036,14 +1020,6 @@ impl<'p> AbstractMachine<'p> {
             return Ok(());
         }
         self.explorations += 1;
-        let frame_watch = self.profile_timing.then(Stopwatch::start);
-        if frame_watch.is_some() {
-            self.pred_timer_stack.push(0);
-            self.pred_instr_stack.push((self.frame.executed, 0));
-            if let Some(span) = self.span.as_mut() {
-                span.enter(&self.pred_names[pred]);
-            }
-        }
         let call_pattern = self.table.entry(pred, entry_idx).call;
 
         // Explore every clause on a fresh materialization of the calling
@@ -1051,6 +1027,10 @@ impl<'p> AbstractMachine<'p> {
         // success patterns into the table and failing to the next clause.
         self.dep_stack.push(Vec::new());
         let num_clauses = self.program.predicates[pred].clause_entries.len();
+        if let Some(span) = self.span.as_mut() {
+            self.pred_instr_stack.push((self.frame.executed, 0));
+            span.enter(&self.pred_names[pred]);
+        }
         for clause_idx in 0..num_clauses {
             let entry = self.program.predicates[pred].clause_entries[clause_idx];
             let trail_mark = self.frame.trail.len();
@@ -1063,7 +1043,6 @@ impl<'p> AbstractMachine<'p> {
                 name: Self::pred_name(prog, pred),
                 clause: clause_idx,
             });
-            let t0 = self.profile_timing.then(Stopwatch::start);
             let mut callee_args = self.cell_pool.pop().unwrap_or_default();
             materialize_into(
                 &mut self.frame.heap,
@@ -1071,9 +1050,9 @@ impl<'p> AbstractMachine<'p> {
                 &mut self.mat_done,
                 &mut callee_args,
             );
-            if let Some(t0) = t0 {
-                self.materialize_ns += t0.elapsed_ns();
-            }
+            // Begun by the reading the span began at or by the last read
+            // of the previous clause, so backtracking out of it counts here.
+            self.lap_layer(Layer::Materialize);
             for (i, cell) in callee_args.iter().enumerate() {
                 self.frame.x[i] = *cell;
             }
@@ -1084,12 +1063,14 @@ impl<'p> AbstractMachine<'p> {
             if self.record_provenance {
                 self.prov_stack.pop();
             }
+            // The clause's execution ends; a layer follows unless this was
+            // the last clause and it failed.
+            if ok || clause_idx + 1 < num_clauses {
+                self.mark_layer();
+            }
             if ok {
-                let t0 = self.profile_timing.then(Stopwatch::start);
                 let sp = self.extract_pattern_id(&callee_args);
-                if let Some(t0) = t0 {
-                    self.extract_ns += t0.elapsed_ns();
-                }
+                self.lap_layer(Layer::Extract);
                 // Fast path: interned ids are canonical, so if the stored
                 // summary is this clause's success pattern, nothing can
                 // change. Restricted domains always take the update, whose
@@ -1098,7 +1079,6 @@ impl<'p> AbstractMachine<'p> {
                 let unchanged =
                     self.config.is_full() && self.table.entry(pred, entry_idx).success == Some(sp);
                 if !unchanged {
-                    let t0 = self.profile_timing.then(Stopwatch::start);
                     let grew = self.table.update_success(
                         pred,
                         entry_idx,
@@ -1106,9 +1086,7 @@ impl<'p> AbstractMachine<'p> {
                         &mut self.interner,
                         Some((clause_idx, self.iter)),
                     );
-                    if let Some(t0) = t0 {
-                        self.table_ns += t0.elapsed_ns();
-                    }
+                    self.lap_layer(Layer::EtUpdate);
                     if self.tracer.is_some() {
                         let summary = self
                             .table
@@ -1145,22 +1123,15 @@ impl<'p> AbstractMachine<'p> {
             self.cell_pool.push(callee_args);
         }
 
-        if let Some(watch) = frame_watch {
-            let total = watch.elapsed_ns();
-            let child = self.pred_timer_stack.pop().unwrap_or(0);
-            self.pred_self_ns[pred] += total.saturating_sub(child);
-            if let Some(parent) = self.pred_timer_stack.last_mut() {
-                *parent += total;
-            }
-            // Instruction heat, same self/child split as the timer.
+        if let Some(span) = self.span.as_mut() {
+            span.exit();
+            // Instruction heat, with the same self/child split as the
+            // predicate spans.
             let (mark, child_instr) = self.pred_instr_stack.pop().unwrap_or((0, 0));
             let total_instr = self.frame.executed_since(mark);
             self.pred_instr_self[pred] += total_instr.saturating_sub(child_instr);
             if let Some((_, parent_child)) = self.pred_instr_stack.last_mut() {
                 *parent_child += total_instr;
-            }
-            if let Some(span) = self.span.as_mut() {
-                span.exit();
             }
         }
 

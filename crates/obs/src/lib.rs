@@ -1,9 +1,9 @@
 //! Observability for the abstract-WAM workspace: counters, event
-//! tracing, and phase timers.
+//! tracing, and the span profiler.
 //!
 //! The paper this workspace reproduces (Tan & Lin, PLDI 1992) makes a
 //! performance claim; this crate makes that claim *inspectable*. It has
-//! three layers, all usable independently:
+//! five modules, all usable independently:
 //!
 //! * [`counters`] — [`TableStats`] (extension-table work),
 //!   [`OpcodeCounts`] (per-opcode dispatch), [`MachineStats`]
@@ -15,17 +15,15 @@
 //!   JSONL-streaming implementations. Machines hold an
 //!   `Option<&mut dyn Tracer>`, so the untraced path is one branch per
 //!   hook.
-//! * [`timer`] — [`PhaseTimers`] over parse/compile/analyze/report.
-//!   Clock reads are gated behind the `timing` cargo feature (default
-//!   on); building with `--no-default-features` removes every `Instant`
-//!   read.
-//! * [`span`] — a hierarchical [`SpanProfiler`] (compile / iteration /
-//!   predicate / ET-consult) with per-span call counts, total and self
-//!   time; clock reads ride the same `timing` feature.
+//! * [`span`] — the one timing model: a hierarchical [`SpanProfiler`]
+//!   with per-span call counts, total and self time. The CLI records its
+//!   pipeline phases (parse, compile, analyze, execute, report) as root
+//!   spans; the analyzer records fixpoint runs and predicates as spans
+//!   and charges the hot fixpoint [`Layer`]s to fixed leaf slots, one
+//!   clock read per layer boundary.
 //! * [`metrics`] — a [`MetricsRegistry`] of named counters and
-//!   log₂-bucket [`Histogram`]s with a stable JSON export (the surface
-//!   `awam serve` will scrape).
-//!
+//!   log₂-bucket [`Histogram`]s with a stable JSON export (what
+//!   `awam profile --metrics-json` prints).
 //! * [`mod@envelope`] — the versioned `{"schema": "awam/v1", …}` wrapper
 //!   every machine-readable surface (CLI `--stats-json` documents, the
 //!   serve daemon's responses) shares, plus the structured error
@@ -43,7 +41,6 @@ pub mod envelope;
 pub mod json;
 pub mod metrics;
 pub mod span;
-pub mod timer;
 pub mod trace;
 
 pub use counters::{
@@ -53,8 +50,7 @@ pub use counters::{
 pub use envelope::{envelope, envelope_obj, error_envelope, SCHEMA};
 pub use json::{Json, JsonError};
 pub use metrics::{Histogram, MetricsRegistry};
-pub use span::{SpanNode, SpanProfiler};
-pub use timer::{Phase, PhaseTimers, Stopwatch};
+pub use span::{Layer, SpanNode, SpanProfiler};
 pub use trace::{
     parse_jsonl, term_from_json, term_to_json, JsonlTracer, NopTracer, RecordingTracer, TraceEvent,
     Tracer,

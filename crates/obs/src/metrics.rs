@@ -1,12 +1,12 @@
 //! A metrics registry: named counters and log₂-bucket histograms with a
 //! stable JSON export.
 //!
-//! This is the surface a future `awam serve` scrapes: the analyzer fills
-//! a [`MetricsRegistry`] per run (consult latency, iteration deltas,
-//! per-predicate instruction heat) and the registry serializes to one
-//! JSON document with deterministic key order (`BTreeMap` under the
-//! hood) so diffs and schema checks are byte-stable modulo the measured
-//! values themselves.
+//! The analyzer fills a [`MetricsRegistry`] per profiled run (consult
+//! latency, iteration deltas, per-predicate instruction heat); it reaches
+//! users as `Analysis::profile` and through `awam profile
+//! --metrics-json`. The registry serializes to one JSON document with
+//! deterministic key order (`BTreeMap` under the hood) so diffs and
+//! schema checks are byte-stable modulo the measured values themselves.
 //!
 //! [`Histogram`] uses 64 power-of-two buckets: value `v` lands in bucket
 //! `⌊log₂ v⌋ + 1` (zero in bucket 0), so a single fixed-size array

@@ -47,12 +47,13 @@
 
 use awam::analysis::{Analysis, AnalyzerBuilder, BatchGoal};
 use awam::machine::Machine;
-use awam::obs::{envelope, envelope_obj, Json, JsonlTracer, Phase, PhaseTimers, Stopwatch, Tracer};
+use awam::obs::{envelope, envelope_obj, Json, JsonlTracer, SpanProfiler, Tracer};
 use awam::syntax::parse_program;
 use awam::wam::compile_program;
 use awam::{Analyzer, Error};
 use std::io::BufWriter;
 use std::process::ExitCode;
+use std::time::Instant;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -199,6 +200,39 @@ fn analyzer_builder(flags: &ObsFlags) -> AnalyzerBuilder {
     AnalyzerBuilder::new().profiling(flags.stats || flags.stats_json)
 }
 
+/// The pipeline phases the CLI records as root spans, in the order the
+/// `phases` JSON object and the `--stats` lines list them.
+const PHASES: [&str; 5] = ["parse", "compile", "analyze", "execute", "report"];
+
+/// Nanoseconds recorded for the root span `phase` (0 if never entered).
+fn phase_ns(phases: &SpanProfiler, phase: &str) -> u64 {
+    phases
+        .walk()
+        .into_iter()
+        .find(|&(depth, node)| depth == 1 && node.name == phase)
+        .map_or(0, |(_, node)| node.total_ns)
+}
+
+/// The `phases` JSON object: `{"parse_ns": …, "compile_ns": …, …}`.
+fn phases_json(phases: &SpanProfiler) -> Json {
+    Json::Obj(
+        PHASES
+            .iter()
+            .map(|p| (format!("{p}_ns"), Json::Int(phase_ns(phases, p) as i64)))
+            .collect(),
+    )
+}
+
+/// The `--stats` lines of the phases that ran.
+fn render_phases(phases: &SpanProfiler) -> String {
+    PHASES
+        .iter()
+        .map(|p| (p, phase_ns(phases, p) as f64 / 1000.0))
+        .filter(|&(_, us)| us > 0.0)
+        .map(|(p, us)| format!("phase {p:<8} {us:>10.1} us\n"))
+        .collect()
+}
+
 /// Shared tail of `analyze`/`analyze-wam`/`bench`: run the analysis with
 /// the requested instrumentation and render either the report or the
 /// stats document.
@@ -207,51 +241,48 @@ fn run_analysis(
     pred: &str,
     specs: &[&str],
     flags: &ObsFlags,
-    mut timers: PhaseTimers,
+    mut phases: SpanProfiler,
 ) -> CmdResult {
     let entry = awam::absdom::Pattern::from_spec(specs)
         .ok_or_else(|| Error::Usage(format!("bad entry specs: {}", specs.join(","))))?;
-    let watch = Stopwatch::start();
-    let analysis = match open_tracer(flags)? {
-        Some(mut tracer) => {
-            let analysis = analyzer.analyze_traced(pred, &entry, &mut tracer)?;
-            tracer.into_inner()?; // flush
-            analysis
-        }
-        None => analyzer.analyze(pred, &entry)?,
-    };
-    timers.record(Phase::Analyze, watch.elapsed_ns());
-
-    let watch = Stopwatch::start();
-    let report = analysis.report(analyzer);
-    timers.record(Phase::Report, watch.elapsed_ns());
+    let analysis = phases.time("analyze", || -> Result<Analysis, Error> {
+        Ok(match open_tracer(flags)? {
+            Some(mut tracer) => {
+                let analysis = analyzer.analyze_traced(pred, &entry, &mut tracer)?;
+                tracer.into_inner()?; // flush
+                analysis
+            }
+            None => analyzer.analyze(pred, &entry)?,
+        })
+    })?;
+    let report = phases.time("report", || analysis.report(analyzer));
 
     if flags.stats_json {
         println!(
             "{}",
-            envelope_obj("stats", stats_doc(&analysis, &timers)).emit_pretty()
+            envelope_obj("stats", stats_doc(&analysis, &phases)).emit_pretty()
         );
         return Ok(());
     }
     print!("{report}");
     if flags.stats {
-        print!("{}", render_stats(&analysis, &timers));
+        print!("{}", render_stats(&analysis, &phases));
     }
     Ok(())
 }
 
 /// The `--stats-json` document: analysis counters plus the CLI's phase
 /// timings.
-fn stats_doc(analysis: &Analysis, timers: &PhaseTimers) -> Json {
+fn stats_doc(analysis: &Analysis, phases: &SpanProfiler) -> Json {
     let Json::Obj(mut pairs) = analysis.stats_json() else {
         unreachable!("stats_json always returns an object");
     };
-    pairs.push(("phases".to_owned(), timers.to_json()));
+    pairs.push(("phases".to_owned(), phases_json(phases)));
     Json::Obj(pairs)
 }
 
 /// The `--stats` human-readable table.
-fn render_stats(analysis: &Analysis, timers: &PhaseTimers) -> String {
+fn render_stats(analysis: &Analysis, phases: &SpanProfiler) -> String {
     let mut out = String::new();
     out.push_str("\n--- stats ---\n");
     let m = &analysis.machine_stats;
@@ -280,16 +311,7 @@ fn render_stats(analysis: &Analysis, timers: &PhaseTimers) -> String {
         i.leq_calls,
         i.bytes_saved
     ));
-    for phase in Phase::ALL {
-        let ns = timers.nanos(phase);
-        if ns > 0 {
-            out.push_str(&format!(
-                "phase {:<8} {:>10.1} us\n",
-                phase.name(),
-                ns as f64 / 1000.0
-            ));
-        }
-    }
+    out.push_str(&render_phases(phases));
     if !analysis.pred_times.is_empty() {
         out.push_str("self-time by predicate:\n");
         for (name, ns) in analysis.pred_times.iter().take(10) {
@@ -315,13 +337,13 @@ fn cmd_analyze_wam(args: &[String]) -> CmdResult {
         Some(s) if !s.is_empty() => s.split(',').map(str::trim).collect(),
         _ => Vec::new(),
     };
-    let mut timers = PhaseTimers::new();
-    let watch = Stopwatch::start();
-    let text = std::fs::read_to_string(path)?;
-    let compiled = awam::wam::text::from_text(&text)?;
-    timers.record(Phase::Parse, watch.elapsed_ns());
+    let mut phases = SpanProfiler::new();
+    let compiled = phases.time("parse", || -> Result<_, Error> {
+        let text = std::fs::read_to_string(path)?;
+        Ok(awam::wam::text::from_text(&text)?)
+    })?;
     let analyzer = analyzer_builder(&flags).build(compiled);
-    run_analysis(&analyzer, pred, &specs, &flags, timers)
+    run_analysis(&analyzer, pred, &specs, &flags, phases)
 }
 
 fn cmd_run(args: &[String]) -> CmdResult {
@@ -336,22 +358,16 @@ fn cmd_run(args: &[String]) -> CmdResult {
             .map_err(|_| "run: -n needs a number")?,
         None => 5,
     };
-    let mut timers = PhaseTimers::new();
-    let watch = Stopwatch::start();
-    let program = load(path)?;
-    timers.record(Phase::Parse, watch.elapsed_ns());
-    let watch = Stopwatch::start();
-    let compiled = compile_program(&program)?;
-    timers.record(Phase::Compile, watch.elapsed_ns());
+    let mut phases = SpanProfiler::new();
+    let program = phases.time("parse", || load(path))?;
+    let compiled = phases.time("compile", || compile_program(&program))?;
 
     let mut tracer = open_tracer(&flags)?;
     let mut machine = Machine::new(&compiled);
     if let Some(tracer) = tracer.as_mut() {
         machine.set_tracer(tracer as &mut dyn Tracer);
     }
-    let watch = Stopwatch::start();
-    let solutions = machine.solve_all(goal, limit)?;
-    timers.record(Phase::Execute, watch.elapsed_ns());
+    let solutions = phases.time("execute", || machine.solve_all(goal, limit))?;
 
     if flags.stats_json {
         let doc = Json::obj(vec![
@@ -361,7 +377,7 @@ fn cmd_run(args: &[String]) -> CmdResult {
                 "opcodes",
                 machine.opcodes().to_json(&awam::wam::OPCODE_NAMES),
             ),
-            ("phases", timers.to_json()),
+            ("phases", phases_json(&phases)),
         ]);
         drop(machine);
         if let Some(tracer) = tracer {
@@ -399,12 +415,7 @@ fn cmd_run(args: &[String]) -> CmdResult {
             "high water: heap {}, trail {}",
             m.heap_high_water, m.trail_high_water
         );
-        for phase in Phase::ALL {
-            let ns = timers.nanos(phase);
-            if ns > 0 {
-                println!("phase {:<8} {:>10.1} us", phase.name(), ns as f64 / 1000.0);
-            }
-        }
+        print!("{}", render_phases(&phases));
         println!("opcode dispatches:");
         for (name, count) in machine.opcodes().nonzero(&awam::wam::OPCODE_NAMES) {
             println!("  {name:<20} {count:>10}");
@@ -425,14 +436,10 @@ fn cmd_analyze(args: &[String]) -> CmdResult {
         Some(s) if !s.is_empty() => s.split(',').map(str::trim).collect(),
         _ => Vec::new(),
     };
-    let mut timers = PhaseTimers::new();
-    let watch = Stopwatch::start();
-    let program = load(path)?;
-    timers.record(Phase::Parse, watch.elapsed_ns());
-    let watch = Stopwatch::start();
-    let analyzer = analyzer_builder(&flags).compile(&program)?;
-    timers.record(Phase::Compile, watch.elapsed_ns());
-    run_analysis(&analyzer, pred, &specs, &flags, timers)
+    let mut phases = SpanProfiler::new();
+    let program = phases.time("parse", || load(path))?;
+    let analyzer = phases.time("compile", || analyzer_builder(&flags).compile(&program))?;
+    run_analysis(&analyzer, pred, &specs, &flags, phases)
 }
 
 /// Parse a batch goal: `PRED` or `PRED:SPEC,SPEC,…`.
@@ -497,9 +504,9 @@ fn cmd_batch(args: &[String]) -> CmdResult {
     let program = load(path)?;
     let analyzer = Analyzer::compile(&program)?;
 
-    let watch = Stopwatch::start();
+    let start = Instant::now();
     let results = analyzer.analyze_batch(&goals, workers);
-    let batch_ns = watch.elapsed_ns();
+    let batch_ns = start.elapsed().as_nanos() as u64;
 
     let mut docs = Vec::new();
     let mut failed = 0usize;
@@ -572,14 +579,14 @@ fn batch_suite(names: &[String], workers: usize, stats_json: bool) -> CmdResult 
             .collect::<Result<_, _>>()?
     };
 
-    let watch = Stopwatch::start();
+    let start = Instant::now();
     let results = awam::analysis::par_map(&benches, workers, |_, b| -> Result<Analysis, Error> {
         let program = b.parse()?;
         let analyzer = Analyzer::compile(&program)?;
         let mut session = analyzer.session();
         Ok(session.analyze_query(b.entry, b.entry_specs)?)
     });
-    let batch_ns = watch.elapsed_ns();
+    let batch_ns = start.elapsed().as_nanos() as u64;
 
     let mut docs = Vec::new();
     let mut failed = 0usize;
@@ -1155,19 +1162,15 @@ fn cmd_bench(args: &[String]) -> CmdResult {
     let name = pos.first().ok_or("bench: missing NAME (e.g. nreverse)")?;
     let bench = awam::suite::by_name(name)
         .ok_or_else(|| Error::Usage(format!("unknown benchmark {name}")))?;
-    let mut timers = PhaseTimers::new();
-    let watch = Stopwatch::start();
-    let program = bench.parse()?;
-    timers.record(Phase::Parse, watch.elapsed_ns());
-    let watch = Stopwatch::start();
-    let analyzer = analyzer_builder(&flags).compile(&program)?;
-    timers.record(Phase::Compile, watch.elapsed_ns());
+    let mut phases = SpanProfiler::new();
+    let program = phases.time("parse", || bench.parse())?;
+    let analyzer = phases.time("compile", || analyzer_builder(&flags).compile(&program))?;
     if flags.stats || flags.stats_json || flags.trace.is_some() {
-        return run_analysis(&analyzer, bench.entry, bench.entry_specs, &flags, timers);
+        return run_analysis(&analyzer, bench.entry, bench.entry_specs, &flags, phases);
     }
     let entry = awam::absdom::Pattern::from_spec(bench.entry_specs)
         .ok_or_else(|| Error::Usage("bad entry specs".to_owned()))?;
-    let start = std::time::Instant::now();
+    let start = Instant::now();
     let analysis = analyzer.analyze(bench.entry, &entry)?;
     let elapsed = start.elapsed();
     println!(
@@ -1176,4 +1179,42 @@ fn cmd_bench(args: &[String]) -> CmdResult {
     );
     print!("{}", analysis.report(&analyzer));
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn phases_derive_from_root_spans() {
+        let mut phases = SpanProfiler::new();
+        let sum = phases.time("parse", || {
+            std::hint::black_box((0..10_000u64).sum::<u64>())
+        });
+        assert_eq!(sum, 49_995_000);
+        phases.time("report", || std::hint::black_box(vec![0u8; 64]));
+        let json = phases_json(&phases);
+        let Json::Obj(pairs) = &json else {
+            panic!("phases is an object");
+        };
+        let keys: Vec<&str> = pairs.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(
+            keys,
+            [
+                "parse_ns",
+                "compile_ns",
+                "analyze_ns",
+                "execute_ns",
+                "report_ns"
+            ]
+        );
+        assert!(json.get("parse_ns").and_then(Json::as_u64) > Some(0));
+        assert_eq!(json.get("compile_ns").and_then(Json::as_u64), Some(0));
+        let lines = render_phases(&phases);
+        let names: Vec<&str> = lines
+            .lines()
+            .filter_map(|l| l.split_whitespace().nth(1))
+            .collect();
+        assert_eq!(names, ["parse", "report"], "only phases that ran");
+    }
 }

@@ -1,8 +1,9 @@
 //! The self-profiling JSON surface under test: the document `awam
 //! profile --metrics-json` emits must keep every key the checked-in
 //! schema snapshot (`tests/snapshots/metrics_schema.json`) promises —
-//! counters, histograms with their quantile fields, and the span tree
-//! shape — because external scrapers key on exactly those names.
+//! counters, histograms with their quantile fields, the span tree shape
+//! and the layer leaves of every predicate span — because external
+//! scrapers key on exactly those names.
 
 use awam::analysis::AnalyzerBuilder;
 use awam::obs::{envelope_obj, Json};
@@ -52,17 +53,35 @@ fn string_list(schema: &Json, key: &str) -> Vec<String> {
         .collect()
 }
 
-/// Every span node, recursively, must carry the promised fields.
-fn check_span(node: &Json, fields: &[String]) {
+/// Every span node, recursively, must carry the promised fields, and
+/// every predicate span (named `name/arity`) the promised layer leaves.
+/// Returns the number of predicate spans checked.
+fn check_span(node: &Json, fields: &[String], leaves: &[String]) -> usize {
     for f in fields {
         assert!(node.get(f).is_some(), "span node missing field {f}");
     }
     let Some(Json::Arr(children)) = node.get("children") else {
         panic!("span children is not an array");
     };
-    for c in children {
-        check_span(c, fields);
+    let name = node.get("name").and_then(Json::as_str).unwrap_or_default();
+    let mut predicates = 0;
+    if name
+        .rsplit_once('/')
+        .is_some_and(|(_, arity)| arity.parse::<usize>().is_ok())
+    {
+        let names: Vec<&str> = children
+            .iter()
+            .filter_map(|c| c.get("name").and_then(Json::as_str))
+            .collect();
+        for leaf in leaves {
+            assert!(names.contains(&leaf.as_str()), "{name} has no {leaf} leaf");
+        }
+        predicates += 1;
     }
+    for c in children {
+        predicates += check_span(c, fields, leaves);
+    }
+    predicates
 }
 
 #[test]
@@ -94,10 +113,12 @@ fn metrics_json_matches_the_schema_snapshot() {
         }
     }
 
-    check_span(
+    let predicates = check_span(
         doc.get("spans").unwrap(),
         &string_list(&schema, "span_fields"),
+        &string_list(&schema, "required_span_leaves"),
     );
+    assert!(predicates > 0, "the span tree has predicate spans");
 }
 
 #[test]
