@@ -23,7 +23,7 @@
 use crate::leaf::AbsLeaf;
 use prolog_syntax::{Interner, Symbol, Term};
 use std::collections::HashMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// Index of a node within its [`Pattern`].
 pub type NodeId = usize;
@@ -336,16 +336,23 @@ impl Pattern {
         if args.len() != self.arity() {
             return false;
         }
+        let refs = self.in_degrees();
         let mut seen: HashMap<NodeId, Term> = HashMap::new();
         self.roots
             .iter()
             .zip(args)
-            .all(|(&r, t)| self.covers_node(r, t, &mut seen))
+            .all(|(&r, t)| self.covers_node(r, t, &refs, &mut seen))
     }
 
-    fn covers_node(&self, id: NodeId, term: &Term, seen: &mut HashMap<NodeId, Term>) -> bool {
+    fn covers_node(
+        &self,
+        id: NodeId,
+        term: &Term,
+        refs: &[u32],
+        seen: &mut HashMap<NodeId, Term>,
+    ) -> bool {
         // Definite sharing: the same node must describe identical terms.
-        if self.shared_count(id) > 1 {
+        if refs[id] > 1 {
             if let Some(prev) = seen.get(&id) {
                 if prev != term {
                     return false;
@@ -362,14 +369,20 @@ impl Pattern {
                 Term::Struct(g, args) if g == f && args.len() == nodes.len() => nodes
                     .iter()
                     .zip(args)
-                    .all(|(&n, a)| self.covers_node(n, a, seen)),
+                    .all(|(&n, a)| self.covers_node(n, a, refs, seen)),
                 _ => false,
             },
-            PNode::List(e) => self.covers_list(*e, term, seen),
+            PNode::List(e) => self.covers_list(*e, term, refs, seen),
         }
     }
 
-    fn covers_list(&self, elem: NodeId, term: &Term, seen: &mut HashMap<NodeId, Term>) -> bool {
+    fn covers_list(
+        &self,
+        elem: NodeId,
+        term: &Term,
+        refs: &[u32],
+        seen: &mut HashMap<NodeId, Term>,
+    ) -> bool {
         let mut t = term;
         loop {
             match t {
@@ -380,7 +393,7 @@ impl Pattern {
                     return is_nil_atom(t);
                 }
                 Term::Struct(f, args) if args.len() == 2 && is_dot_symbol(*f) => {
-                    if !self.covers_node(elem, &args[0], seen) {
+                    if !self.covers_node(elem, &args[0], refs, seen) {
                         return false;
                     }
                     t = &args[1];
@@ -390,17 +403,25 @@ impl Pattern {
         }
     }
 
-    fn shared_count(&self, id: NodeId) -> usize {
-        let mut count = self.roots.iter().filter(|&&r| r == id).count();
-        // Count in-edges plus root references.
+    /// How many references each node has: in-edges from every node plus
+    /// root occurrences. A node with more than one is definitely shared.
+    fn in_degrees(&self) -> Vec<u32> {
+        let mut refs = vec![0u32; self.nodes.len()];
+        for &r in &self.roots {
+            refs[r] += 1;
+        }
         for node in &self.nodes {
             match node {
-                PNode::Struct(_, args) => count += args.iter().filter(|&&a| a == id).count(),
-                PNode::List(e) => count += usize::from(*e == id),
+                PNode::Struct(_, args) => {
+                    for &a in args {
+                        refs[a] += 1;
+                    }
+                }
+                PNode::List(e) => refs[*e] += 1,
                 _ => {}
             }
         }
-        count
+        refs
     }
 
     // ----- parsing and display -----
@@ -425,96 +446,39 @@ impl Pattern {
     /// Render with `interner` for atom names; shared nodes print as
     /// `#n=…` on first occurrence and `#n` after.
     pub fn display(&self, interner: &Interner) -> String {
-        let mut printed: HashMap<NodeId, usize> = HashMap::new();
-        let mut next_mark = 0;
-        let args: Vec<String> = self
-            .roots
-            .clone()
-            .into_iter()
-            .map(|r| self.display_node(r, interner, &mut printed, &mut next_mark))
-            .collect();
-        format!("({})", args.join(", "))
+        let mut out = String::new();
+        self.write_display(interner, &mut out);
+        out
     }
 
-    fn display_node(
-        &self,
-        id: NodeId,
-        interner: &Interner,
-        printed: &mut HashMap<NodeId, usize>,
-        next_mark: &mut usize,
-    ) -> String {
-        let shared = self.shared_count(id) > 1;
-        if shared {
-            if let Some(mark) = printed.get(&id) {
-                return format!("#{mark}");
-            }
-            let mark = *next_mark;
-            *next_mark += 1;
-            printed.insert(id, mark);
-            let body = self.display_body(id, interner, printed, next_mark);
-            return format!("#{mark}={body}");
-        }
-        self.display_body(id, interner, printed, next_mark)
+    /// [`Pattern::display`], appended to `out`. Linear in the pattern:
+    /// one pass counts every node's references, one prints.
+    pub fn write_display(&self, interner: &Interner, out: &mut String) {
+        self.write_roots(interner, |_| true, out);
     }
 
-    fn display_body(
+    /// The argument tuple; a root `printable` rejects shows as `<node N>`.
+    fn write_roots(
         &self,
-        id: NodeId,
         interner: &Interner,
-        printed: &mut HashMap<NodeId, usize>,
-        next_mark: &mut usize,
-    ) -> String {
-        match &self.nodes[id] {
-            PNode::Leaf(l) => l.to_string(),
-            PNode::Int(i) => i.to_string(),
-            PNode::Atom(a) => interner.resolve(*a).to_owned(),
-            PNode::Struct(f, args) => {
-                let name = interner.resolve(*f);
-                let args: Vec<String> = args
-                    .iter()
-                    .map(|&a| self.display_node(a, interner, printed, next_mark))
-                    .collect();
-                if name == "." && args.len() == 2 {
-                    format!("[{}|{}]", args[0], args[1])
-                } else {
-                    format!("{name}({})", args.join(", "))
-                }
+        printable: impl Fn(NodeId) -> bool,
+        out: &mut String,
+    ) {
+        let mut printer = Printer::new(self, interner);
+        out.push('(');
+        for (i, &r) in self.roots.iter().enumerate() {
+            if i > 0 {
+                out.push_str(", ");
             }
-            PNode::List(e) => {
-                let e = self.display_node(*e, interner, printed, next_mark);
-                if e == "g" {
-                    "glist".to_owned()
-                } else {
-                    format!("list({e})")
-                }
+            if printable(r) {
+                printer.node(r, out);
+            } else {
+                let _ = write!(out, "<node {r}>");
             }
         }
+        out.push(')');
     }
-}
 
-impl fmt::Display for Pattern {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        // Displays without an interner resolve atoms as `atom#N`.
-        let mut printed = HashMap::new();
-        let mut next_mark = 0;
-        let interner = Interner::new();
-        let args: Vec<String> = self
-            .roots
-            .clone()
-            .into_iter()
-            .map(|r| {
-                if self.symbols_in_range(r, interner.len()) {
-                    self.display_node(r, &interner, &mut printed, &mut next_mark)
-                } else {
-                    format!("<node {r}>")
-                }
-            })
-            .collect();
-        write!(f, "({})", args.join(", "))
-    }
-}
-
-impl Pattern {
     fn symbols_in_range(&self, id: NodeId, len: usize) -> bool {
         match &self.nodes[id] {
             PNode::Atom(a) => a.index() < len,
@@ -523,6 +487,110 @@ impl Pattern {
             }
             PNode::List(e) => self.symbols_in_range(*e, len),
             _ => true,
+        }
+    }
+}
+
+impl fmt::Display for Pattern {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // Displays without an interner resolve only the well-known atoms;
+        // an argument mentioning any other symbol prints as `<node N>`.
+        let interner = Interner::new();
+        let mut out = String::new();
+        self.write_roots(
+            &interner,
+            |r| self.symbols_in_range(r, interner.len()),
+            &mut out,
+        );
+        f.write_str(&out)
+    }
+}
+
+/// Print state of one node in [`Printer::marks`].
+const UNSHARED: u32 = u32::MAX;
+/// A shared node not printed yet (it gets the next `#n=` mark).
+const UNMARKED: u32 = u32::MAX - 1;
+
+/// One display pass over a pattern: each node's state is [`UNSHARED`],
+/// [`UNMARKED`], or the `#n` mark it was first printed with.
+struct Printer<'a> {
+    pattern: &'a Pattern,
+    interner: &'a Interner,
+    marks: Vec<u32>,
+    next_mark: u32,
+}
+
+impl<'a> Printer<'a> {
+    fn new(pattern: &'a Pattern, interner: &'a Interner) -> Printer<'a> {
+        let mut marks = pattern.in_degrees();
+        for m in &mut marks {
+            *m = if *m > 1 { UNMARKED } else { UNSHARED };
+        }
+        Printer {
+            pattern,
+            interner,
+            marks,
+            next_mark: 0,
+        }
+    }
+
+    fn node(&mut self, id: NodeId, out: &mut String) {
+        match self.marks[id] {
+            UNSHARED => {}
+            UNMARKED => {
+                self.marks[id] = self.next_mark;
+                self.next_mark += 1;
+                let _ = write!(out, "#{}=", self.marks[id]);
+            }
+            mark => {
+                let _ = write!(out, "#{mark}");
+                return;
+            }
+        }
+        let pattern = self.pattern;
+        match &pattern.nodes[id] {
+            PNode::Leaf(l) => out.push_str(l.name()),
+            PNode::Int(i) => {
+                let _ = write!(out, "{i}");
+            }
+            PNode::Atom(a) => out.push_str(self.interner.resolve(*a)),
+            PNode::Struct(f, args) => {
+                let name = self.interner.resolve(*f);
+                if name == "." && args.len() == 2 {
+                    out.push('[');
+                    self.node(args[0], out);
+                    out.push('|');
+                    self.node(args[1], out);
+                    out.push(']');
+                } else {
+                    out.push_str(name);
+                    out.push('(');
+                    for (i, &a) in args.iter().enumerate() {
+                        if i > 0 {
+                            out.push_str(", ");
+                        }
+                        self.node(a, out);
+                    }
+                    out.push(')');
+                }
+            }
+            // `list(g)` abbreviates to `glist` whenever the element prints
+            // as `g`: an unshared ground leaf, or an atom named `g`.
+            PNode::List(e) => {
+                let prints_g = self.marks[*e] == UNSHARED
+                    && match &pattern.nodes[*e] {
+                        PNode::Leaf(l) => *l == AbsLeaf::Ground,
+                        PNode::Atom(a) => self.interner.resolve(*a) == "g",
+                        _ => false,
+                    };
+                if prints_g {
+                    out.push_str("glist");
+                } else {
+                    out.push_str("list(");
+                    self.node(*e, out);
+                    out.push(')');
+                }
+            }
         }
     }
 }

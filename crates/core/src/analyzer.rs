@@ -17,7 +17,8 @@ use crate::provenance::DerivationReport;
 use crate::table::{Entry, ExtensionTable};
 use crate::{IterationStrategy, Session};
 use absdom::{
-    AbsLeaf, DomainConfig, Pattern, PatternInterner, SessionInterner, DEFAULT_TERM_DEPTH,
+    AbsLeaf, DomainConfig, LubScratch, Pattern, PatternInterner, SessionInterner,
+    DEFAULT_TERM_DEPTH,
 };
 use awam_obs::{
     InternStats, Json, MachineStats, MetricsRegistry, OpcodeCounts, SpanProfiler, TableStats,
@@ -741,16 +742,13 @@ impl PredAnalysis {
     /// The lub of all success patterns of this predicate (over all calling
     /// patterns), if any call can succeed.
     pub fn success_summary(&self) -> Option<Pattern> {
-        let mut acc: Option<Pattern> = None;
-        for (_, s) in &self.entries {
-            if let Some(s) = s {
-                acc = Some(match acc {
-                    Some(a) => a.lub(s),
-                    None => s.clone(),
-                });
-            }
+        let mut successes = self.entries.iter().filter_map(|(_, s)| s.as_ref());
+        let mut acc = successes.next()?.clone();
+        let mut scratch = LubScratch::default();
+        for s in successes {
+            acc = acc.lub_with(s, &mut scratch);
         }
-        acc
+        Some(acc)
     }
 
     /// Derived argument modes (see [`crate::report::ArgMode`]).

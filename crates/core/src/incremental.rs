@@ -43,10 +43,12 @@ use crate::analyzer::{Analysis, Analyzer, AnalyzerBuilder, PredAnalysis};
 use crate::machine::{AbstractMachine, AnalysisError};
 use crate::session::{Session, SessionParts};
 use crate::table::{Derivation, DerivationOrigin, ExtensionTable, LubStep};
-use absdom::{PNode, Pattern, SessionInterner};
+use absdom::{PNode, Pattern, PatternId, SessionInterner};
 use awam_obs::{InvalidationStats, MachineStats, OpcodeCounts};
-use prolog_syntax::{parse_program, pretty, Interner, ParseError, Program};
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+use prolog_syntax::{
+    parse_program, pretty, Clause, Interner, ParseError, PredKey, Program, Symbol, Term, VarId,
+};
+use std::collections::{HashSet, VecDeque};
 use wam::CompileError;
 
 /// A clause-level edit against a parsed program.
@@ -286,9 +288,13 @@ fn locate_clause(
         })
 }
 
-/// The predicate-level difference between two parsed programs, computed
-/// on pretty-printed clause lists (so whitespace and comment changes
-/// produce an empty diff).
+/// The predicate-level difference between two parsed programs. Two
+/// predicates are the same when their clause lists are: equal in length
+/// and clause by clause equal as terms, comparing symbols by name and
+/// variables by the name the pretty-printer gives them. So whitespace
+/// and comment changes produce an empty diff, as does a round trip
+/// through [`ProgramEdit::apply`] (an anonymous `_` at variable *n*
+/// prints as `_G<n>`), while renaming a variable is a change.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ProgramDiff {
     /// Predicates whose clause list differs between the two programs
@@ -299,36 +305,130 @@ pub struct ProgramDiff {
     pub removed: Vec<(String, usize)>,
 }
 
-/// Clause texts grouped by `(name, arity)`.
-fn clause_map(program: &Program) -> BTreeMap<(String, usize), Vec<String>> {
-    let mut map: BTreeMap<(String, usize), Vec<String>> = BTreeMap::new();
-    for clause in &program.clauses {
-        let key = clause.pred_key();
-        map.entry((program.interner.resolve(key.name).to_owned(), key.arity))
-            .or_default()
-            .push(pretty::clause_to_string(clause, &program.interner));
+/// An old→new symbol renumbering across an edit: entry `i` is the new
+/// interner's symbol named like the old interner's symbol `i`, or `None`
+/// when the new interner lacks the name. Built by name, once between the
+/// parsed programs for the diff and once between the compiled programs
+/// for the table migration; both then compare and rewrite symbols by
+/// index.
+struct SymbolMap(Vec<Option<Symbol>>);
+
+impl SymbolMap {
+    fn between(old: &Interner, new: &Interner) -> SymbolMap {
+        SymbolMap(
+            (0..old.len())
+                .map(|i| new.lookup(old.resolve(Symbol::from_index(i))))
+                .collect(),
+        )
     }
-    map
+
+    fn get(&self, old: Symbol) -> Option<Symbol> {
+        self.0.get(old.index()).copied().flatten()
+    }
+}
+
+/// A program's clause indices grouped by predicate and sorted by key;
+/// each group keeps source order.
+fn clause_groups(program: &Program) -> Vec<(PredKey, Vec<usize>)> {
+    let mut groups = program.predicate_index();
+    groups.sort_unstable_by_key(|&(key, _)| key);
+    groups
+}
+
+/// Term equality across two programs, as their pretty-printed text
+/// would compare.
+struct SameText<'a> {
+    symbols: &'a SymbolMap,
+    old_vars: &'a [String],
+    new_vars: &'a [String],
+}
+
+impl SameText<'_> {
+    fn clauses(symbols: &SymbolMap, old: &Clause, new: &Clause) -> bool {
+        let same = SameText {
+            symbols,
+            old_vars: &old.var_names,
+            new_vars: &new.var_names,
+        };
+        same.terms(&old.head, &new.head) && same.terms(&old.body, &new.body)
+    }
+
+    fn terms(&self, old: &Term, new: &Term) -> bool {
+        match (old, new) {
+            (Term::Var(x), Term::Var(y)) => {
+                match (var_name(self.old_vars, *x), var_name(self.new_vars, *y)) {
+                    (Some(a), Some(b)) => a == b,
+                    (None, None) => x == y,
+                    (Some(name), None) => is_generated_name(name, *y),
+                    (None, Some(name)) => is_generated_name(name, *x),
+                }
+            }
+            (Term::Int(x), Term::Int(y)) => x == y,
+            (Term::Atom(x), Term::Atom(y)) => self.symbols.get(*x) == Some(*y),
+            (Term::Struct(f, xs), Term::Struct(g, ys)) => {
+                self.symbols.get(*f) == Some(*g)
+                    && xs.len() == ys.len()
+                    && xs.iter().zip(ys).all(|(x, y)| self.terms(x, y))
+            }
+            _ => false,
+        }
+    }
+}
+
+/// The source name the pretty-printer gives variable `v`, or `None` when
+/// it prints the generated `_G<v>` (anonymous or unnamed variables).
+fn var_name(names: &[String], v: VarId) -> Option<&str> {
+    names
+        .get(v.index())
+        .map(String::as_str)
+        .filter(|name| *name != "_")
+}
+
+/// Whether `name` is exactly the generated name `_G<v>`.
+fn is_generated_name(name: &str, v: VarId) -> bool {
+    name.strip_prefix("_G").is_some_and(|digits| {
+        digits.bytes().all(|b| b.is_ascii_digit())
+            && (digits == "0" || !digits.starts_with('0'))
+            && digits.parse::<u32>() == Ok(v.0)
+    })
 }
 
 impl ProgramDiff {
     /// Diff `old` against `new` at the predicate level.
     pub fn between(old: &Program, new: &Program) -> ProgramDiff {
-        let old_map = clause_map(old);
-        let new_map = clause_map(new);
+        let symbols = SymbolMap::between(&old.interner, &new.interner);
+        let new_groups = clause_groups(new);
+        let mut matched = vec![false; new_groups.len()];
         let mut changed = Vec::new();
         let mut removed = Vec::new();
-        for (key, new_clauses) in &new_map {
-            match old_map.get(key) {
-                Some(old_clauses) if old_clauses == new_clauses => {}
-                _ => changed.push(key.clone()),
+        let name = |program: &Program, key: PredKey| {
+            (program.interner.resolve(key.name).to_owned(), key.arity)
+        };
+        for (key, old_clauses) in clause_groups(old) {
+            let found = symbols.get(key.name).and_then(|name| {
+                let key = PredKey { name, ..key };
+                new_groups.binary_search_by(|(k, _)| k.cmp(&key)).ok()
+            });
+            let Some(at) = found else {
+                removed.push(name(old, key));
+                continue;
+            };
+            matched[at] = true;
+            let new_clauses = &new_groups[at].1;
+            let same = old_clauses.len() == new_clauses.len()
+                && old_clauses
+                    .iter()
+                    .zip(new_clauses)
+                    .all(|(&a, &b)| SameText::clauses(&symbols, &old.clauses[a], &new.clauses[b]));
+            if !same {
+                changed.push(name(old, key));
             }
         }
-        for key in old_map.keys() {
-            if !new_map.contains_key(key) {
-                removed.push(key.clone());
-            }
+        for ((key, _), _) in new_groups.iter().zip(&matched).filter(|(_, &m)| !m) {
+            changed.push(name(new, *key));
         }
+        changed.sort_unstable();
+        removed.sort_unstable();
         ProgramDiff { changed, removed }
     }
 
@@ -338,22 +438,81 @@ impl ProgramDiff {
     }
 }
 
-/// Rewrite a pattern's functor symbols from `old` interner indices to
-/// `new` ones; `None` when a symbol's name is absent from `new` (the
-/// edit removed every mention of it, so no live entry can need it).
-fn remap_pattern(pattern: &Pattern, old: &Interner, new: &Interner) -> Option<Pattern> {
-    let (mut nodes, roots) = pattern.clone().into_parts();
-    for node in &mut nodes {
-        match node {
-            PNode::Atom(s) | PNode::Struct(s, _) => {
-                *s = new.lookup(old.resolve(*s))?;
-            }
-            _ => {}
+/// How one pattern of the old session interner crosses an edit.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Carry {
+    /// Not looked at yet.
+    Unseen,
+    /// Every symbol keeps its id: the pattern moves as it is.
+    Same,
+    /// Some symbol is renumbered: the pattern is rewritten.
+    Renamed,
+    /// Some symbol has no name in the new program.
+    Gone,
+    /// Interned into the new interner under this id.
+    Done(PatternId),
+}
+
+/// The old session interner's patterns, carried into the new interner
+/// through the [`SymbolMap`], each at most once. Renumbering symbols
+/// keeps a canonical pattern canonical (the numbering is by position),
+/// so no pattern is re-canonicalized; one whose symbols keep their ids
+/// is interned by reference, copied only if the new arena lacks it.
+struct PatternCarrier<'a> {
+    old: &'a SessionInterner,
+    symbols: &'a SymbolMap,
+    carry: Vec<Carry>,
+}
+
+impl<'a> PatternCarrier<'a> {
+    fn new(old: &'a SessionInterner, symbols: &'a SymbolMap) -> PatternCarrier<'a> {
+        PatternCarrier {
+            old,
+            symbols,
+            carry: vec![Carry::Unseen; old.len()],
         }
     }
-    // Re-canonicalize: node ordering can depend on symbol numbering,
-    // which just changed under us.
-    Some(Pattern::new(nodes, roots))
+
+    /// Whether the pattern survives the edit (all its symbols map).
+    fn maps(&mut self, id: PatternId) -> bool {
+        if self.carry[id.index()] == Carry::Unseen {
+            let mut carry = Carry::Same;
+            for node in self.old.resolve(id).nodes() {
+                if let PNode::Atom(s) | PNode::Struct(s, _) = node {
+                    match self.symbols.get(*s) {
+                        None => {
+                            carry = Carry::Gone;
+                            break;
+                        }
+                        Some(t) if t != *s => carry = Carry::Renamed,
+                        Some(_) => {}
+                    }
+                }
+            }
+            self.carry[id.index()] = carry;
+        }
+        self.carry[id.index()] != Carry::Gone
+    }
+
+    /// The new interner's id for an old pattern that [`Self::maps`].
+    fn intern(&mut self, id: PatternId, new: &mut SessionInterner) -> PatternId {
+        assert!(self.maps(id), "interning a pattern the edit removed");
+        let new_id = match self.carry[id.index()] {
+            Carry::Done(new_id) => return new_id,
+            Carry::Same => new.intern_ref(self.old.resolve(id)),
+            _ => {
+                let (mut nodes, roots) = self.old.resolve(id).clone().into_parts();
+                for node in &mut nodes {
+                    if let PNode::Atom(s) | PNode::Struct(s, _) = node {
+                        *s = self.symbols.get(*s).expect("checked by maps");
+                    }
+                }
+                new.intern(Pattern::from_canonical(nodes, roots))
+            }
+        };
+        self.carry[id.index()] = Carry::Done(new_id);
+        new_id
+    }
 }
 
 /// Migrate a suspended session across a program edit: partition its
@@ -385,10 +544,21 @@ pub fn migrate_parts(
     budget: Option<u64>,
 ) -> Result<(SessionParts, InvalidationStats), AnalysisError> {
     let diff = ProgramDiff::between(old_program, new_program);
+    migrate(&diff, old_analyzer, new_analyzer, parts, budget)
+}
+
+/// [`migrate_parts`] given the diff between the two parsed programs.
+fn migrate(
+    diff: &ProgramDiff,
+    old_analyzer: &Analyzer,
+    new_analyzer: &Analyzer,
+    parts: SessionParts,
+    budget: Option<u64>,
+) -> Result<(SessionParts, InvalidationStats), AnalysisError> {
     let old_compiled = old_analyzer.program();
     let new_compiled = new_analyzer.program();
     let old_names = &old_compiled.interner;
-    let new_names = &new_compiled.interner;
+    let symbols = SymbolMap::between(old_names, &new_compiled.interner);
     let (old_table, old_interner, session_stats) = parts.into_inner();
 
     let mut stats = InvalidationStats {
@@ -404,76 +574,64 @@ pub fn migrate_parts(
     // during WAM normalization, so any edit can shift which source
     // construct a given aux name denotes — treat them all as changed
     // whenever anything changed at all.
-    let changed_names: BTreeSet<(String, usize)> = diff.changed.iter().cloned().collect();
     let num_old_preds = old_compiled.predicates.len();
     let mut pred_map: Vec<Option<usize>> = Vec::with_capacity(num_old_preds);
     let mut pred_changed: Vec<bool> = Vec::with_capacity(num_old_preds);
     for entry in &old_compiled.predicates {
         let name = old_names.resolve(entry.key.name);
         let arity = entry.key.arity;
-        pred_map.push(new_compiled.predicate(name, arity));
-        pred_changed.push(
-            changed_names.contains(&(name.to_owned(), arity))
-                || (!diff.is_empty() && name.starts_with('$')),
+        pred_map.push(
+            symbols
+                .get(entry.key.name)
+                .and_then(|name| new_compiled.pred_map.get(&PredKey { name, arity }).copied()),
         );
+        let changed = diff
+            .changed
+            .binary_search_by(|(n, a)| (n.as_str(), *a).cmp(&(name, arity)))
+            .is_ok();
+        pred_changed.push(changed || (!diff.is_empty() && name.starts_with('$')));
     }
 
-    // Remap every entry's patterns up front; a failure (vanished symbol)
+    // Entries are numbered flat, predicate by predicate.
+    let mut first: Vec<usize> = Vec::with_capacity(num_old_preds + 1);
+    let mut keys: Vec<(usize, usize)> = Vec::with_capacity(old_table.len());
+    for pred in 0..num_old_preds {
+        first.push(keys.len());
+        keys.extend((0..old_table.entries(pred).len()).map(|idx| (pred, idx)));
+    }
+    first.push(keys.len());
+    let flat = |(pred, idx): (usize, usize)| first[pred] + idx;
+
+    // Check every entry's patterns up front; a failure (vanished symbol)
     // marks the entry for dropping, and — like a removed predicate — it
     // must seed the stale closure so its dependents are reset.
-    type Remapped = (Pattern, Option<Pattern>);
-    let mut remapped: HashMap<(usize, usize), Remapped> = HashMap::new();
-    let mut seeds: Vec<(usize, usize)> = Vec::new();
-    let mut dropped: HashSet<(usize, usize)> = HashSet::new();
-    for pred in 0..num_old_preds {
-        for idx in 0..old_table.entries(pred).len() {
-            let entry = old_table.entry(pred, idx);
-            let call = remap_pattern(old_interner.resolve(entry.call), old_names, new_names);
-            let success = entry
-                .success
-                .map(|s| remap_pattern(old_interner.resolve(s), old_names, new_names));
-            match (pred_map[pred], call, success) {
-                (Some(_), Some(call), Some(Some(success))) => {
-                    remapped.insert((pred, idx), (call, Some(success)));
-                }
-                (Some(_), Some(call), None) => {
-                    remapped.insert((pred, idx), (call, None));
-                }
-                _ => {
-                    // Removed predicate or unmappable pattern: drop, and
-                    // reset everything that depended on it.
-                    dropped.insert((pred, idx));
-                    seeds.push((pred, idx));
-                }
-            }
-            if pred_changed[pred] && !dropped.contains(&(pred, idx)) {
-                seeds.push((pred, idx));
-            }
+    let mut carrier = PatternCarrier::new(&old_interner, &symbols);
+    let mut dropped = vec![false; keys.len()];
+    let mut stale = vec![false; keys.len()];
+    let mut queue: Vec<usize> = Vec::new();
+    for (f, &(pred, idx)) in keys.iter().enumerate() {
+        let entry = old_table.entry(pred, idx);
+        dropped[f] = pred_map[pred].is_none()
+            || !carrier.maps(entry.call)
+            || entry.success.is_some_and(|s| !carrier.maps(s));
+        if dropped[f] || pred_changed[pred] {
+            stale[f] = true;
+            queue.push(f);
         }
     }
 
     // Reverse-transitive closure over the recorded dependency edges.
-    let mut rev: HashMap<(usize, usize), Vec<(usize, usize)>> = HashMap::new();
-    for pred in 0..num_old_preds {
-        for idx in 0..old_table.entries(pred).len() {
-            for &(dp, di, _) in old_table.deps(pred, idx) {
-                rev.entry((dp, di)).or_default().push((pred, idx));
-            }
+    let mut rev: Vec<Vec<usize>> = vec![Vec::new(); keys.len()];
+    for (f, &(pred, idx)) in keys.iter().enumerate() {
+        for &(dp, di, _) in old_table.deps(pred, idx) {
+            rev[flat((dp, di))].push(f);
         }
     }
-    let mut stale: HashSet<(usize, usize)> = HashSet::new();
-    let mut queue: VecDeque<(usize, usize)> = VecDeque::new();
-    for seed in seeds {
-        if stale.insert(seed) {
-            queue.push_back(seed);
-        }
-    }
-    while let Some(node) = queue.pop_front() {
-        if let Some(dependents) = rev.get(&node) {
-            for &d in dependents {
-                if stale.insert(d) {
-                    queue.push_back(d);
-                }
+    while let Some(f) = queue.pop() {
+        for &d in &rev[f] {
+            if !stale[d] {
+                stale[d] = true;
+                queue.push(d);
             }
         }
     }
@@ -486,66 +644,54 @@ pub fn migrate_parts(
     if new_analyzer.provenance_enabled() {
         new_table.enable_provenance();
     }
-    let mut index_map: HashMap<(usize, usize), (usize, usize)> = HashMap::new();
+    let mut index_map: Vec<Option<(usize, usize)>> = vec![None; keys.len()];
     let mut frontier: Vec<(usize, usize)> = Vec::new();
-    let mut kept: Vec<(usize, usize)> = Vec::new();
-    for (pred, mapped) in pred_map.iter().enumerate() {
-        let Some(new_pred) = *mapped else {
-            stats.entries_dropped += old_table.entries(pred).len() as u64;
+    let mut kept: Vec<usize> = Vec::new();
+    for (f, &(pred, idx)) in keys.iter().enumerate() {
+        let Some(new_pred) = pred_map[pred] else {
+            stats.entries_dropped += 1;
             continue;
         };
-        for idx in 0..old_table.entries(pred).len() {
-            if dropped.contains(&(pred, idx)) {
-                stats.entries_dropped += 1;
-                continue;
-            }
-            let (call, success) = remapped
-                .remove(&(pred, idx))
-                .expect("every non-dropped entry was remapped");
-            let call_id = new_interner.intern(call);
-            let new_idx = if stale.contains(&(pred, idx)) {
-                stats.entries_reset += 1;
-                let new_idx = new_table.seed_entry(new_pred, call_id, None, 0, 0);
-                frontier.push((new_pred, new_idx));
-                new_idx
-            } else {
-                stats.entries_kept += 1;
-                let success_id = success.map(|s| new_interner.intern(s));
-                kept.push((pred, idx));
-                new_table.seed_entry(new_pred, call_id, success_id, 1, 0)
-            };
-            index_map.insert((pred, idx), (new_pred, new_idx));
+        if dropped[f] {
+            stats.entries_dropped += 1;
+            continue;
         }
+        let entry = old_table.entry(pred, idx);
+        let call_id = carrier.intern(entry.call, &mut new_interner);
+        let new_idx = if stale[f] {
+            stats.entries_reset += 1;
+            let new_idx = new_table.seed_entry(new_pred, call_id, None, 0, 0);
+            frontier.push((new_pred, new_idx));
+            new_idx
+        } else {
+            stats.entries_kept += 1;
+            let success_id = entry.success.map(|s| carrier.intern(s, &mut new_interner));
+            kept.push(f);
+            new_table.seed_entry(new_pred, call_id, success_id, 1, 0)
+        };
+        index_map[f] = Some((new_pred, new_idx));
     }
 
     // Kept entries keep their dependency edges (remapped to new
     // indices; versions restart at the targets' current 0) and their
     // derivation records. A kept entry's targets are all kept: anything
     // depending on a stale or dropped entry is itself stale by closure.
-    for (pred, idx) in kept {
-        let (new_pred, new_idx) = index_map[&(pred, idx)];
+    for f in kept {
+        let (pred, idx) = keys[f];
+        let (new_pred, new_idx) = index_map[f].expect("kept entries are rebuilt");
         let deps: Vec<(usize, usize, u64)> = old_table
             .deps(pred, idx)
             .iter()
             .filter_map(|&(dp, di, _)| {
-                let &(np, ni) = index_map.get(&(dp, di))?;
+                let (np, ni) = index_map[flat((dp, di))]?;
                 Some((np, ni, new_table.version(np, ni)))
             })
             .collect();
         new_table.set_deps(new_pred, new_idx, deps);
         if let Some(derivation) = old_table.derivation(pred, idx) {
-            new_table.seed_derivation(
-                new_pred,
-                new_idx,
-                remap_derivation(
-                    derivation,
-                    &pred_map,
-                    &old_interner,
-                    &mut new_interner,
-                    old_names,
-                    new_names,
-                ),
-            );
+            let derivation =
+                carry_derivation(derivation, &pred_map, &mut carrier, &mut new_interner);
+            new_table.seed_derivation(new_pred, new_idx, derivation);
         }
     }
     stats.frontier = frontier.len() as u64;
@@ -559,34 +705,29 @@ pub fn migrate_parts(
     // discovery order rather than looping.
     let frontier = {
         let mut order: Vec<(usize, usize)> = Vec::with_capacity(frontier.len());
-        let mut visited: HashSet<(usize, usize)> = HashSet::new();
-        for pred in 0..num_old_preds {
-            for idx in 0..old_table.entries(pred).len() {
-                let start = (pred, idx);
-                if !stale.contains(&start) || visited.contains(&start) {
-                    continue;
-                }
-                visited.insert(start);
-                let mut stack: Vec<((usize, usize), usize)> = vec![(start, 0)];
-                while let Some((node, cursor)) = stack.last_mut() {
-                    let deps = old_table.deps(node.0, node.1);
-                    if let Some(&(dp, di, _)) = deps.get(*cursor) {
-                        *cursor += 1;
-                        let child = (dp, di);
-                        if stale.contains(&child) && visited.insert(child) {
-                            stack.push((child, 0));
-                        }
-                    } else {
-                        order.push(*node);
-                        stack.pop();
+        let mut visited = vec![false; keys.len()];
+        for start in 0..keys.len() {
+            if !stale[start] || visited[start] {
+                continue;
+            }
+            visited[start] = true;
+            let mut stack: Vec<(usize, usize)> = vec![(start, 0)];
+            while let Some((node, cursor)) = stack.last_mut() {
+                let (pred, idx) = keys[*node];
+                if let Some(&(dp, di, _)) = old_table.deps(pred, idx).get(*cursor) {
+                    *cursor += 1;
+                    let child = flat((dp, di));
+                    if stale[child] && !visited[child] {
+                        visited[child] = true;
+                        stack.push((child, 0));
                     }
+                } else {
+                    order.extend(index_map[*node]);
+                    stack.pop();
                 }
             }
         }
         order
-            .iter()
-            .filter_map(|old| index_map.get(old).copied())
-            .collect::<Vec<_>>()
     };
 
     // Seeded re-fixpoint from the frontier: reset entries re-derive
@@ -611,16 +752,14 @@ pub fn migrate_parts(
 }
 
 /// Carry a kept entry's derivation record across the migration,
-/// remapping predicate ids and pattern symbols; fields that reference
-/// vanished predicates or symbols degrade to `None`/empty rather than
-/// dropping the whole record.
-fn remap_derivation(
+/// remapping predicate ids and patterns; fields that reference vanished
+/// predicates or symbols degrade to `None`/empty rather than dropping
+/// the whole record.
+fn carry_derivation(
     derivation: &Derivation,
     pred_map: &[Option<usize>],
-    old_interner: &SessionInterner,
+    carrier: &mut PatternCarrier<'_>,
     new_interner: &mut SessionInterner,
-    old_names: &Interner,
-    new_names: &Interner,
 ) -> Derivation {
     let origin = derivation.origin.and_then(|o| {
         pred_map
@@ -632,29 +771,28 @@ fn remap_derivation(
                 clause: o.clause,
             })
     });
-    let parent_call = derivation.parent_call.and_then(|id| {
-        remap_pattern(old_interner.resolve(id), old_names, new_names)
-            .map(|p| new_interner.intern(p))
-    });
-    let lub_steps: Option<Vec<LubStep>> = derivation
-        .lub_steps
-        .iter()
-        .map(|step| {
-            let input = remap_pattern(old_interner.resolve(step.input), old_names, new_names)?;
-            let result = remap_pattern(old_interner.resolve(step.result), old_names, new_names)?;
-            Some(LubStep {
-                clause: step.clause,
-                iter: step.iter,
-                input: new_interner.intern(input),
-                result: new_interner.intern(result),
-            })
-        })
-        .collect();
+    let parent_call = derivation
+        .parent_call
+        .filter(|&id| carrier.maps(id))
+        .map(|id| carrier.intern(id, new_interner));
+    let mut lub_steps = Vec::with_capacity(derivation.lub_steps.len());
+    for step in &derivation.lub_steps {
+        if !(carrier.maps(step.input) && carrier.maps(step.result)) {
+            lub_steps.clear();
+            break;
+        }
+        lub_steps.push(LubStep {
+            clause: step.clause,
+            iter: step.iter,
+            input: carrier.intern(step.input, new_interner),
+            result: carrier.intern(step.result, new_interner),
+        });
+    }
     Derivation {
         origin,
         created_iter: derivation.created_iter,
         parent_call,
-        lub_steps: lub_steps.unwrap_or_default(),
+        lub_steps,
     }
 }
 
@@ -815,14 +953,7 @@ impl Workspace {
         let new_analyzer = self.builder.compile(&new_program)?;
         let stats = match self.parts.take() {
             Some(parts) => {
-                match migrate_parts(
-                    &self.program,
-                    &new_program,
-                    &self.analyzer,
-                    &new_analyzer,
-                    parts,
-                    self.budget,
-                ) {
+                match migrate(&diff, &self.analyzer, &new_analyzer, parts, self.budget) {
                     Ok((parts, stats)) => {
                         self.parts = Some(parts);
                         stats
@@ -1074,6 +1205,28 @@ mod tests {
             out_of_range.apply(&program),
             Err(EditError::NoSuchClause { .. })
         ));
+    }
+
+    #[test]
+    fn edit_after_a_renumbering_reparse_matches_cold() {
+        // Reordering the predicates is an empty diff, so the workspace
+        // keeps its analyzer; but the reparse numbers symbols differently
+        // (`q` now has `p`'s old number), and the next edit must still
+        // carry the table across by name.
+        let mut ws = Workspace::from_source("p(a).\nq(f(b)).\n").unwrap();
+        ws.analyze("p", &["any"]).unwrap();
+        ws.analyze("q", &["any"]).unwrap();
+        let reordered = "q(f(b)).\np(a).\n";
+        assert_eq!(ws.update_source(reordered).unwrap().entries_kept, 2);
+        let stats = ws.update_source(&format!("{reordered}s.\n")).unwrap();
+        assert_eq!((stats.entries_kept, stats.entries_reset), (2, 0));
+        let mut cold = Workspace::from_source(ws.source()).unwrap();
+        for pred in ["p", "q"] {
+            assert_eq!(
+                ws.core_dump(pred, &["any"]).unwrap(),
+                cold.core_dump(pred, &["any"]).unwrap()
+            );
+        }
     }
 
     #[test]

@@ -24,7 +24,7 @@ use crate::acell::ACell;
 use crate::extract::{deref, extract, extract_with, materialize, materialize_into, ExtractScratch};
 use crate::table::{DerivationOrigin, ExtensionTable};
 use crate::IterationStrategy;
-use absdom::{AbsLeaf, DomainConfig, Pattern, PatternId, SessionInterner};
+use absdom::{AbsLeaf, DomainConfig, FxHashMap, Pattern, PatternId, SessionInterner};
 use awam_exec::{Flow, Frame, Interpretation, Mode};
 use awam_obs::{
     Histogram, Layer, MachineStats, MetricsRegistry, OpcodeCounts, SpanProfiler, TraceEvent, Tracer,
@@ -93,6 +93,19 @@ impl fmt::Display for AnalysisError {
 
 impl std::error::Error for AnalysisError {}
 
+/// Pairs a unification processes before its pairs start counting
+/// against the step budget (the suite's longest unification takes
+/// under 64).
+const LONG_UNIFY: u64 = 1_024;
+
+/// Pairs an unbudgeted unification may process before the run stops
+/// with [`AnalysisError::IterationLimit`].
+const MAX_UNIFY_STEPS: u64 = 100_000;
+
+/// Pair-memo entries [`AbstractMachine::unify`] scans linearly before
+/// spilling them to a hash set.
+const SEEN_SCAN_MAX: usize = 64;
+
 /// The abstract machine state.
 pub struct AbstractMachine<'p> {
     program: &'p CompiledProgram,
@@ -116,9 +129,11 @@ pub struct AbstractMachine<'p> {
     /// Entries currently being explored (worklist strategy re-entrancy
     /// guard).
     in_progress: std::collections::HashSet<(usize, usize)>,
-    /// Reverse dependency edges: entry → entries that read it. Ordered
-    /// maps, so worklist seeding (and therefore the whole analysis event
-    /// stream) is deterministic across runs.
+    /// Reverse dependency edges: entry → entries that read it, built
+    /// only under [`IterationStrategy::Dependency`] (the worklist is
+    /// their one reader). Ordered maps, so worklist seeding (and
+    /// therefore the whole analysis event stream) is deterministic
+    /// across runs.
     rev_deps: BTreeMap<(usize, usize), BTreeSet<(usize, usize)>>,
     /// Entries whose inputs changed and must be re-explored.
     worklist: std::collections::VecDeque<(usize, usize)>,
@@ -178,8 +193,16 @@ pub struct AbstractMachine<'p> {
     /// Scratch worklist for [`Self::unify`] (reset-not-free: taken and
     /// returned around each unification instead of reallocated).
     unify_stack: Vec<(ACell, ACell)>,
-    /// Scratch pair-memo for [`Self::unify`], same lifecycle.
+    /// Scratch pair-memo for [`Self::unify`], same lifecycle: scanned
+    /// while short, spilled to [`Self::unify_seen_set`] past
+    /// [`SEEN_SCAN_MAX`] pairs.
     unify_seen: Vec<(usize, usize)>,
+    /// The spilled pair-memo of a long unification, same lifecycle.
+    unify_seen_set: FxHashMap<(usize, usize), ()>,
+    /// Why a runaway unification stopped (see [`LONG_UNIFY`]): it fails
+    /// the unification, and the error ends the run at the next clause
+    /// failure or call return.
+    runaway: Option<AnalysisError>,
     /// Scratch memo for materializations (cleared and resized per use).
     mat_done: Vec<Option<ACell>>,
     /// Scratch argument cells for [`Self::apply_success`] (safe to share:
@@ -493,6 +516,8 @@ impl<'p> AbstractMachine<'p> {
             tracer: None,
             unify_stack: Vec::new(),
             unify_seen: Vec::new(),
+            unify_seen_set: FxHashMap::default(),
+            runaway: None,
             extract_scratch: ExtractScratch::default(),
             mat_done: Vec::new(),
             apply_args: Vec::new(),
@@ -836,9 +861,13 @@ impl<'p> AbstractMachine<'p> {
 
     /// Abstractly unify two cells on this machine's heap (the `s_unify`
     /// of §4.1). Exposed so soundness properties of the unifier can be
-    /// tested directly against concrete unification.
+    /// tested directly against concrete unification. A runaway
+    /// unification just fails here; it leaves no error for the machine's
+    /// next run.
     pub fn unify_cells(&mut self, a: ACell, b: ACell) -> bool {
-        self.unify(a, b)
+        let ok = self.unify(a, b);
+        self.runaway = None;
+        ok
     }
 
     /// Extract a (possibly weakened) pattern for the current config.
@@ -956,6 +985,9 @@ impl<'p> AbstractMachine<'p> {
                         None => false,
                     };
                     self.cell_pool.push(caller_args);
+                    if let Some(e) = self.runaway.take() {
+                        return Err(e);
+                    }
                     return Ok(ok);
                 }
                 self.table.mark_explored(pred, idx, self.iter);
@@ -1005,7 +1037,10 @@ impl<'p> AbstractMachine<'p> {
             None => false,
         };
         self.cell_pool.push(caller_args);
-        Ok(ok)
+        match self.runaway.take() {
+            Some(e) => Err(e),
+            None => Ok(ok),
+        }
     }
 
     /// Explore every clause of `(pred, entry_idx)` on fresh
@@ -1136,18 +1171,18 @@ impl<'p> AbstractMachine<'p> {
         }
 
         // All clauses explored: record dependencies (both strategies —
-        // see `note_dep`) and propagate.
+        // see `note_dep`); only the worklist reads the reverse edges.
         let deps = self.dep_stack.pop().unwrap_or_default();
-        for &(p, i, _) in &deps {
-            self.rev_deps
-                .entry((p, i))
-                .or_default()
-                .insert((pred, entry_idx));
-        }
-        self.table.set_deps(pred, entry_idx, deps);
         if self.strategy == IterationStrategy::Dependency {
+            for &(p, i, _) in &deps {
+                self.rev_deps
+                    .entry((p, i))
+                    .or_default()
+                    .insert((pred, entry_idx));
+            }
             self.in_progress.remove(&(pred, entry_idx));
         }
+        self.table.set_deps(pred, entry_idx, deps);
         Ok(())
     }
 
@@ -1186,6 +1221,9 @@ impl<'p> AbstractMachine<'p> {
             match awam_exec::step(self, program)? {
                 Flow::Continue => {}
                 Flow::Fail => {
+                    if let Some(e) = self.runaway.take() {
+                        return Err(e);
+                    }
                     self.frame.e = saved_e;
                     return Ok(false);
                 }
@@ -1274,13 +1312,25 @@ impl<'p> AbstractMachine<'p> {
         // instruction, so its worklist and pair-memo live on the machine
         // (taken/returned around the call) instead of being reallocated
         // per unification.
+        // A nested unification (list element types) takes empty ones,
+        // so every call owns its memo.
         let mut stack = std::mem::take(&mut self.unify_stack);
         let mut seen = std::mem::take(&mut self.unify_seen);
+        let mut seen_set = std::mem::take(&mut self.unify_seen_set);
         stack.clear();
         seen.clear();
         stack.push((a, b));
         let mut ok = true;
+        let mut steps = 0u64;
         while let Some((a, b)) = stack.pop() {
+            steps += 1;
+            if steps > LONG_UNIFY {
+                if let Some(e) = self.unify_overrun(steps) {
+                    self.runaway = Some(e);
+                    ok = false;
+                    break;
+                }
+            }
             let (ca, aa) = deref(&self.frame.heap, a);
             let (cb, ab) = deref(&self.frame.heap, b);
             if let (Some(x), Some(y)) = (aa, ab) {
@@ -1288,10 +1338,18 @@ impl<'p> AbstractMachine<'p> {
                     continue;
                 }
                 let key = (x.min(y), x.max(y));
-                if seen.contains(&key) {
+                if seen.len() < SEEN_SCAN_MAX {
+                    if seen.contains(&key) {
+                        continue;
+                    }
+                    seen.push(key);
+                    if seen.len() == SEEN_SCAN_MAX {
+                        seen_set.clear();
+                        seen_set.extend(seen.iter().map(|&k| (k, ())));
+                    }
+                } else if seen_set.insert(key, ()).is_some() {
                     continue;
                 }
-                seen.push(key);
             }
             if !self.unify_one(ca, aa, cb, ab, &mut stack) {
                 ok = false;
@@ -1300,7 +1358,27 @@ impl<'p> AbstractMachine<'p> {
         }
         self.unify_stack = stack;
         self.unify_seen = seen;
+        self.unify_seen_set = seen_set;
         ok
+    }
+
+    /// Whether a unification `steps` pairs long must stop. Past
+    /// [`LONG_UNIFY`] pairs, its pairs count against the step budget as
+    /// instructions (the instruction count itself stays exact); with no
+    /// budget, [`MAX_UNIFY_STEPS`] is the safety rail. A cyclic list
+    /// unified against a list type lays out a fresh list cell per pair,
+    /// so the pair memo never closes that loop.
+    fn unify_overrun(&self, steps: u64) -> Option<AnalysisError> {
+        match self.step_budget {
+            Some(budget) if self.frame.executed + steps > budget => {
+                Some(AnalysisError::BudgetExceeded {
+                    budget,
+                    executed: self.frame.executed + steps,
+                })
+            }
+            _ if steps > MAX_UNIFY_STEPS => Some(AnalysisError::IterationLimit),
+            _ => None,
+        }
     }
 
     #[allow(clippy::too_many_lines)]
@@ -1414,6 +1492,8 @@ impl<'p> AbstractMachine<'p> {
                 let c2 = self.copy_type(e2);
                 if self.unify(ACell::Ref(c1), ACell::Ref(c2)) {
                     self.rebind(x, AbsList(c1));
+                } else if self.runaway.is_some() {
+                    return false;
                 } else {
                     self.undo_to(trail_mark, heap_mark);
                     let nil = ACell::Con(absdom::nil_symbol());

@@ -4,7 +4,7 @@
 use crate::analyzer::{Analysis, PredAnalysis};
 use absdom::{AbsLeaf, PNode, Pattern};
 use prolog_syntax::Interner;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// The derived mode of one argument position.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -135,14 +135,22 @@ fn display_node_type(p: &Pattern, id: usize, interner: &Interner) -> String {
 /// Render the full analysis report.
 pub fn render(analysis: &Analysis, interner: &Interner) -> String {
     let mut out = String::new();
-    out.push_str(&format!(
-        "fixpoint in {} iteration(s), {} abstract instructions\n",
+    // Writing into a `String` cannot fail.
+    let _ = write_report(analysis, interner, &mut out);
+    out
+}
+
+fn write_report(analysis: &Analysis, interner: &Interner, out: &mut String) -> fmt::Result {
+    writeln!(
+        out,
+        "fixpoint in {} iteration(s), {} abstract instructions",
         analysis.iterations, analysis.instructions_executed
-    ));
+    )?;
     let t = &analysis.table_stats;
-    out.push_str(&format!(
+    writeln!(
+        out,
         "extension table: {} lookups ({} hits, {} misses, {} scan steps), \
-         {} inserts, {} summary updates ({} widenings, {} version bumps)\n",
+         {} inserts, {} summary updates ({} widenings, {} version bumps)",
         t.lookups,
         t.hits,
         t.misses,
@@ -151,25 +159,24 @@ pub fn render(analysis: &Analysis, interner: &Interner) -> String {
         t.summary_updates,
         t.lub_widenings,
         t.version_bumps
-    ));
+    )?;
     for pred in &analysis.predicates {
-        out.push_str(&format!("\n{}:\n", pred.name));
+        write!(out, "\n{}:\n", pred.name)?;
         for (call, success) in &pred.entries {
-            let succ = match success {
-                Some(s) => s.display(interner),
-                None => "fails".to_owned(),
-            };
-            out.push_str(&format!(
-                "  call {}  -->  {}\n",
-                call.display(interner),
-                succ
-            ));
+            out.push_str("  call ");
+            call.write_display(interner, out);
+            out.push_str("  -->  ");
+            match success {
+                Some(s) => s.write_display(interner, out),
+                None => out.push_str("fails"),
+            }
+            out.push('\n');
         }
         let modes: Vec<String> = derive_modes(pred).iter().map(ArgMode::to_string).collect();
         if pred.arity > 0 {
-            out.push_str(&format!("  modes: ({})\n", modes.join(", ")));
+            writeln!(out, "  modes: ({})", modes.join(", "))?;
             let types = success_types(pred, interner);
-            out.push_str(&format!("  types: ({})\n", types.join(", ")));
+            writeln!(out, "  types: ({})", types.join(", "))?;
         }
         let aliases = aliased_arg_pairs(pred);
         if !aliases.is_empty() {
@@ -177,8 +184,8 @@ pub fn render(analysis: &Analysis, interner: &Interner) -> String {
                 .iter()
                 .map(|(i, j)| format!("A{}~A{}", i + 1, j + 1))
                 .collect();
-            out.push_str(&format!("  aliasing: {}\n", aliases.join(", ")));
+            writeln!(out, "  aliasing: {}", aliases.join(", "))?;
         }
     }
-    out
+    Ok(())
 }
