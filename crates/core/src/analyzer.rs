@@ -17,11 +17,10 @@ use crate::provenance::DerivationReport;
 use crate::table::{Entry, ExtensionTable};
 use crate::{IterationStrategy, Session};
 use absdom::{
-    AbsLeaf, DomainConfig, LubScratch, Pattern, PatternInterner, SessionInterner,
-    DEFAULT_TERM_DEPTH,
+    DomainConfig, LubScratch, Pattern, PatternInterner, SessionInterner, DEFAULT_TERM_DEPTH,
 };
 use awam_obs::{
-    InternStats, Json, MachineStats, MetricsRegistry, OpcodeCounts, SpanProfiler, TableStats,
+    envelope, Histogram, InternStats, Json, MachineStats, OpcodeCounts, SpanProfiler, TableStats,
     Tracer,
 };
 use prolog_syntax::Program;
@@ -106,9 +105,9 @@ impl AnalyzerBuilder {
 
     /// Enable self-profiling: a span tree of the fixpoint run with the
     /// materialize / extract / et-consult / et-update split of every
-    /// predicate span, the per-predicate time breakdown, and a metrics
-    /// registry ([`Analysis::profile`]). Off by default because it reads
-    /// the clock inside the analysis hot path.
+    /// predicate span, per-predicate instruction heat and three
+    /// histograms ([`Analysis::profile`]). Off by default because it
+    /// reads the clock inside the analysis hot path.
     #[must_use]
     pub fn profiling(mut self, on: bool) -> AnalyzerBuilder {
         self.profile_timing = on;
@@ -187,7 +186,6 @@ impl AnalyzerBuilder {
             strategy: self.strategy,
             profile_timing: self.profile_timing,
             provenance: self.provenance,
-            fuse: self.fuse,
             step_budget: self.step_budget,
             compile_ns: 0,
             base_interner,
@@ -227,7 +225,6 @@ pub struct Analyzer {
     strategy: IterationStrategy,
     profile_timing: bool,
     provenance: bool,
-    fuse: bool,
     step_budget: Option<u64>,
     /// Wall time of WAM compilation in nanoseconds (0 when the analyzer
     /// was built from an already-compiled program); spliced into the
@@ -331,34 +328,51 @@ pub struct Analysis {
     pub opcodes: OpcodeCounts,
     /// Wall time of the fixpoint run in nanoseconds.
     pub analyze_ns: u64,
-    /// Per-predicate self-time `(name, ns)`, descending: the predicate's
-    /// span totals minus their nested predicate spans. Empty unless
-    /// profiling was enabled via [`AnalyzerBuilder::profiling`].
-    pub pred_times: Vec<(String, u64)>,
-    /// Per-predicate self-instructions `(name, count)`, descending;
-    /// empty unless profiling was enabled.
-    pub pred_instrs: Vec<(String, u64)>,
     /// Derivation report for every table entry; `None` unless
     /// [`AnalyzerBuilder::provenance`] was enabled.
     pub provenance: Option<DerivationReport>,
-    /// Span tree and metrics registry of the run; `None` unless
-    /// profiling was enabled via [`AnalyzerBuilder::profiling`] (warm
-    /// session hits also return `None`: no machine ran).
+    /// Span tree, instruction heat and histograms of the run; `None`
+    /// unless profiling was enabled via [`AnalyzerBuilder::profiling`]
+    /// (warm session hits also return `None`: no machine ran).
     pub profile: Option<ProfileData>,
 }
 
-/// The self-profiling output of one analysis run: where fixpoint time
-/// went (hierarchical spans) and the metrics registry a monitoring
-/// surface would scrape.
+/// The self-profiling output of one analysis run, moved out of the
+/// machine whole: where fixpoint time went (hierarchical spans), where
+/// the instructions went, and three distributions. Every other count of
+/// the profile document lives in the [`Analysis`] counter blocks;
+/// [`Analysis::profile_json`] renders both.
 #[derive(Clone, Debug)]
 pub struct ProfileData {
     /// Hierarchical span tree: compile / iteration N / predicate, each
     /// run and predicate span with materialize / extract / et-consult /
     /// et-update leaves, with call counts, total and self time.
     pub spans: SpanProfiler,
-    /// Named counters and histograms (consult latency, per-iteration
-    /// widening/growth deltas, per-predicate instruction heat).
-    pub metrics: MetricsRegistry,
+    /// Entry explorations the run performed (one per predicate-span
+    /// call).
+    pub explorations: u64,
+    /// Self-instructions per predicate, indexed by predicate id:
+    /// dispatches while exploring the predicate, minus those of nested
+    /// explorations.
+    pub pred_instructions: Vec<u64>,
+    /// ET-consult latency in nanoseconds, one sample per consult.
+    pub consult_ns: Histogram,
+    /// Lub widenings per fixpoint round (global restart only).
+    pub iteration_widenings: Histogram,
+    /// Table entries added per fixpoint round (global restart only).
+    pub iteration_table_growth: Histogram,
+}
+
+impl ProfileData {
+    /// Self time per predicate name, descending: the predicate spans'
+    /// totals minus their nested predicate spans, zeros left out.
+    /// Predicate spans sit below the run spans (`iteration N`,
+    /// `worklist`, `repair`), at depth 2 and deeper.
+    pub fn pred_self_ns(&self) -> Vec<(&str, u64)> {
+        let mut times = self.spans.self_ns_by_name(2);
+        times.retain(|&(_, ns)| ns > 0);
+        times
+    }
 }
 
 impl Analyzer {
@@ -403,22 +417,6 @@ impl Analyzer {
     /// that survives across queries (shorthand for [`Session::new`]).
     pub fn session(&self) -> Session<'_> {
         Session::new(self)
-    }
-
-    /// The build-time configuration of this analyzer, as a builder that
-    /// would recreate it. Incremental re-analysis uses this to compile
-    /// the edited program with byte-identical settings, so a migrated
-    /// session's results stay comparable to a cold run.
-    pub fn config_builder(&self) -> AnalyzerBuilder {
-        AnalyzerBuilder {
-            depth_k: self.depth_k,
-            config: self.config,
-            strategy: self.strategy,
-            profile_timing: self.profile_timing,
-            provenance: self.provenance,
-            fuse: self.fuse,
-            step_budget: self.step_budget,
-        }
     }
 
     /// The term-depth restriction `k` this analyzer extracts patterns at.
@@ -578,40 +576,12 @@ impl Analyzer {
         let iterations = machine.run_to_fixpoint(pred, entry)?;
         let analyze_ns = start.elapsed().as_nanos() as u64;
         let predicates = self.collect_predicates(machine.table(), machine.interner());
-        let mut pred_instrs: Vec<(String, u64)> = machine
-            .pred_instr_self()
-            .iter()
-            .enumerate()
-            .filter(|(_, &n)| n > 0)
-            .map(|(id, &n)| {
-                (
-                    self.program.predicates[id]
-                        .key
-                        .display(&self.program.interner),
-                    n,
-                )
-            })
-            .collect();
-        pred_instrs.sort_by_key(|&(_, n)| std::cmp::Reverse(n));
         let provenance = self.provenance.then(|| {
             crate::provenance::collect(&self.program, machine.table(), machine.interner())
         });
-        let profile = machine.take_profile().map(|(mut spans, mut metrics)| {
-            spans.record_phase("compile", self.compile_ns);
-            metrics.counter_add("compile_ns", self.compile_ns);
-            metrics.counter_add("fixpoint.iterations", iterations);
-            ProfileData { spans, metrics }
-        });
-        // A predicate's self time: its spans' totals minus their nested
-        // predicate spans. Predicate spans sit below the run spans
-        // (`iteration N`, `worklist`, `repair`), at depth 2 and deeper.
-        let pred_times = profile.as_ref().map_or_else(Vec::new, |p| {
-            p.spans
-                .self_ns_by_name(2)
-                .into_iter()
-                .filter(|&(_, ns)| ns > 0)
-                .map(|(name, ns)| (name.to_owned(), ns))
-                .collect()
+        let profile = machine.take_profile().map(|mut profile| {
+            profile.spans.record_phase("compile", self.compile_ns);
+            profile
         });
         let analysis = Analysis {
             predicates,
@@ -626,8 +596,6 @@ impl Analyzer {
             machine_stats: machine.machine_stats(),
             opcodes: machine.opcodes().clone(),
             analyze_ns,
-            pred_times,
-            pred_instrs,
             provenance,
             profile,
         };
@@ -685,8 +653,6 @@ impl Analyzer {
             machine_stats: MachineStats::default(),
             opcodes: OpcodeCounts::new(wam::OPCODE_NAMES.len()),
             analyze_ns: 0,
-            pred_times: Vec::new(),
-            pred_instrs: Vec::new(),
             provenance: (self.provenance && table.provenance_enabled())
                 .then(|| crate::provenance::collect(&self.program, table, interner)),
             profile: None,
@@ -723,18 +689,75 @@ impl Analysis {
             ("opcodes", self.opcodes.to_json(&wam::OPCODE_NAMES)),
             ("analyze_ns", Json::Int(self.analyze_ns as i64)),
         ];
-        if !self.pred_times.is_empty() {
+        let pred_times = self.profile.as_ref().map(ProfileData::pred_self_ns);
+        if let Some(times) = pred_times.filter(|t| !t.is_empty()) {
             pairs.push((
                 "pred_self_ns",
                 Json::Obj(
-                    self.pred_times
-                        .iter()
-                        .map(|(name, ns)| (name.clone(), Json::Int(*ns as i64)))
+                    times
+                        .into_iter()
+                        .map(|(name, ns)| (name.to_owned(), Json::Int(ns as i64)))
                         .collect(),
                 ),
             ));
         }
         Json::obj(pairs)
+    }
+
+    /// The `awam profile --metrics-json` document: the span tree plus
+    /// the run's counters and histograms, each read from its one owner
+    /// (the counter blocks of this analysis or its [`ProfileData`]).
+    /// `analyzer` names the predicates. Counter and histogram keys are
+    /// in byte order. `None` unless the run was profiled.
+    pub fn profile_json(&self, analyzer: &Analyzer) -> Option<Json> {
+        let profile = self.profile.as_ref()?;
+        let program = analyzer.program();
+        let table = &self.table_stats;
+        let heat = profile.pred_instructions.iter().enumerate();
+        let mut counters: Vec<(String, u64)> = [
+            ("analysis.calls", self.machine_stats.calls),
+            ("analysis.explorations", profile.explorations),
+            ("analysis.instructions", self.machine_stats.instructions),
+            ("compile_ns", profile.spans.phase_ns("compile")),
+            ("et.consults", table.lookups),
+            ("et.inserts", table.inserts),
+            ("et.lub_widenings", table.lub_widenings),
+            ("fixpoint.iterations", self.iterations),
+        ]
+        .into_iter()
+        .map(|(key, n)| (key.to_owned(), n))
+        .chain(heat.filter(|&(_, &n)| n > 0).map(|(pred, &n)| {
+            let name = program.predicates[pred].key.display(&program.interner);
+            (format!("pred.instructions.{name}"), n)
+        }))
+        .collect();
+        counters.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        let counters = counters
+            .into_iter()
+            .map(|(key, n)| (key, Json::Int(n as i64)))
+            .collect();
+        let histograms = [
+            ("et.consult_ns", &profile.consult_ns),
+            (
+                "fixpoint.iteration_table_growth",
+                &profile.iteration_table_growth,
+            ),
+            ("fixpoint.iteration_widenings", &profile.iteration_widenings),
+        ]
+        .map(|(key, hist)| (key, hist.to_json()));
+        Some(envelope(
+            "profile",
+            vec![
+                (
+                    "metrics",
+                    Json::obj(vec![
+                        ("counters", Json::Obj(counters)),
+                        ("histograms", Json::obj(histograms.into())),
+                    ]),
+                ),
+                ("spans", profile.spans.to_json()),
+            ],
+        ))
     }
 }
 
@@ -755,9 +778,4 @@ impl PredAnalysis {
     pub fn modes(&self) -> Vec<crate::report::ArgMode> {
         crate::report::derive_modes(self)
     }
-}
-
-/// Convenience: leaf approximations of a pattern's arguments.
-pub fn arg_leaves(p: &Pattern) -> Vec<AbsLeaf> {
-    (0..p.arity()).map(|i| p.leaf_approx(p.root(i))).collect()
 }

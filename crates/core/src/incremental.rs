@@ -12,13 +12,11 @@
 //! re-derives just the invalidated cone. See DESIGN.md §3.10 for the
 //! full algorithm and the correctness argument.
 //!
-//! Three layers build on [`migrate_parts`], the table-migration core:
+//! Two layers build on [`migrate_parts`], the table-migration core:
 //!
 //! * [`Workspace`] — an owning source + analyzer + session bundle with
 //!   [`Workspace::apply_edit`] / [`Workspace::update_source`] (the
 //!   `awam watch` subcommand is a thin loop around it);
-//! * [`crate::Session::update_program`] — the session-level entry point
-//!   (consumes the session, returns a `Workspace`);
 //! * the serve daemon's `update` protocol op, which migrates every
 //!   parked warm session of a registered program in place.
 //!
@@ -623,8 +621,8 @@ fn migrate(
     // Reverse-transitive closure over the recorded dependency edges.
     let mut rev: Vec<Vec<usize>> = vec![Vec::new(); keys.len()];
     for (f, &(pred, idx)) in keys.iter().enumerate() {
-        for &(dp, di, _) in old_table.deps(pred, idx) {
-            rev[flat((dp, di))].push(f);
+        for &dep in old_table.deps(pred, idx) {
+            rev[flat(dep)].push(f);
         }
     }
     while let Some(f) = queue.pop() {
@@ -637,8 +635,8 @@ fn migrate(
     }
 
     // Rebuild the table against the new analyzer: kept entries carry
-    // their summaries, versions reset to 0; stale survivors are reset to
-    // unexplored (the re-fixpoint frontier); dropped entries vanish.
+    // their summaries; stale survivors are reset to unexplored (the
+    // re-fixpoint frontier); dropped entries vanish.
     let mut new_interner = new_analyzer.new_session_interner();
     let mut new_table = ExtensionTable::new(new_compiled.predicates.len());
     if new_analyzer.provenance_enabled() {
@@ -660,32 +658,29 @@ fn migrate(
         let call_id = carrier.intern(entry.call, &mut new_interner);
         let new_idx = if stale[f] {
             stats.entries_reset += 1;
-            let new_idx = new_table.seed_entry(new_pred, call_id, None, 0, 0);
+            let new_idx = new_table.seed_entry(new_pred, call_id, None, 0);
             frontier.push((new_pred, new_idx));
             new_idx
         } else {
             stats.entries_kept += 1;
             let success_id = entry.success.map(|s| carrier.intern(s, &mut new_interner));
             kept.push(f);
-            new_table.seed_entry(new_pred, call_id, success_id, 1, 0)
+            new_table.seed_entry(new_pred, call_id, success_id, 1)
         };
         index_map[f] = Some((new_pred, new_idx));
     }
 
     // Kept entries keep their dependency edges (remapped to new
-    // indices; versions restart at the targets' current 0) and their
-    // derivation records. A kept entry's targets are all kept: anything
-    // depending on a stale or dropped entry is itself stale by closure.
+    // indices) and their derivation records. A kept entry's targets are
+    // all kept: anything depending on a stale or dropped entry is itself
+    // stale by closure.
     for f in kept {
         let (pred, idx) = keys[f];
         let (new_pred, new_idx) = index_map[f].expect("kept entries are rebuilt");
-        let deps: Vec<(usize, usize, u64)> = old_table
+        let deps: Vec<(usize, usize)> = old_table
             .deps(pred, idx)
             .iter()
-            .filter_map(|&(dp, di, _)| {
-                let (np, ni) = index_map[flat((dp, di))]?;
-                Some((np, ni, new_table.version(np, ni)))
-            })
+            .filter_map(|&dep| index_map[flat(dep)])
             .collect();
         new_table.set_deps(new_pred, new_idx, deps);
         if let Some(derivation) = old_table.derivation(pred, idx) {
@@ -714,9 +709,9 @@ fn migrate(
             let mut stack: Vec<(usize, usize)> = vec![(start, 0)];
             while let Some((node, cursor)) = stack.last_mut() {
                 let (pred, idx) = keys[*node];
-                if let Some(&(dp, di, _)) = old_table.deps(pred, idx).get(*cursor) {
+                if let Some(&dep) = old_table.deps(pred, idx).get(*cursor) {
                     *cursor += 1;
-                    let child = flat((dp, di));
+                    let child = flat(dep);
                     if stale[child] && !visited[child] {
                         visited[child] = true;
                         stack.push((child, 0));
@@ -843,22 +838,6 @@ impl Workspace {
             budget,
             last_invalidation: InvalidationStats::default(),
         })
-    }
-
-    /// Rebuild a workspace around a suspended session's parts (used by
-    /// [`Session::update_program`]): recompiles `source` with the given
-    /// settings — deterministic compilation makes the result identical
-    /// to the analyzer the parts were grown on — and adopts the parts.
-    pub(crate) fn resume(
-        builder: AnalyzerBuilder,
-        source: &str,
-        parts: SessionParts,
-        budget: Option<u64>,
-    ) -> Result<Workspace, UpdateError> {
-        let mut ws = Workspace::with_builder(builder, source)?;
-        ws.parts = Some(parts);
-        ws.budget = budget;
-        Ok(ws)
     }
 
     /// The current source text.
@@ -1059,8 +1038,6 @@ impl Workspace {
             machine_stats: MachineStats::default(),
             opcodes: OpcodeCounts::new(wam::OPCODE_NAMES.len()),
             analyze_ns: 0,
-            pred_times: Vec::new(),
-            pred_instrs: Vec::new(),
             provenance: None,
             profile: None,
         };
@@ -1095,9 +1072,9 @@ impl Workspace {
         seen.insert((pred, root_idx));
         queue.push_back((pred, root_idx));
         while let Some((p, i)) = queue.pop_front() {
-            for &(dp, di, _) in table.deps(p, i) {
-                if seen.insert((dp, di)) {
-                    queue.push_back((dp, di));
+            for &dep in table.deps(p, i) {
+                if seen.insert(dep) {
+                    queue.push_back(dep);
                 }
             }
         }

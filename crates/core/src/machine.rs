@@ -21,14 +21,13 @@
 //!   iterated directly, as §5 prescribes.
 
 use crate::acell::ACell;
+use crate::analyzer::ProfileData;
 use crate::extract::{deref, extract, extract_with, materialize, materialize_into, ExtractScratch};
 use crate::table::{DerivationOrigin, ExtensionTable};
 use crate::IterationStrategy;
 use absdom::{AbsLeaf, DomainConfig, FxHashMap, Pattern, PatternId, SessionInterner};
 use awam_exec::{Flow, Frame, Interpretation, Mode};
-use awam_obs::{
-    Histogram, Layer, MachineStats, MetricsRegistry, OpcodeCounts, SpanProfiler, TraceEvent, Tracer,
-};
+use awam_obs::{Histogram, Layer, MachineStats, OpcodeCounts, SpanProfiler, TraceEvent, Tracer};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use wam::{Builtin, CodeAddr, CompiledProgram, Functor, PredIdx, WamConst};
@@ -125,7 +124,7 @@ pub struct AbstractMachine<'p> {
     strategy: IterationStrategy,
     /// Dependency log of the entry currently being explored (stack of
     /// frames, one per nested exploration).
-    dep_stack: Vec<Vec<(usize, usize, u64)>>,
+    dep_stack: Vec<Vec<(usize, usize)>>,
     /// Entries currently being explored (worklist strategy re-entrancy
     /// guard).
     in_progress: std::collections::HashSet<(usize, usize)>,
@@ -153,9 +152,9 @@ pub struct AbstractMachine<'p> {
     /// Backtracks plus high-water marks; instruction/call totals are
     /// folded in by [`Self::machine_stats`].
     stats: MachineStats,
-    /// Self-instructions per predicate (needs [`Self::profile_timing`]):
-    /// dispatch counts attributed to the predicate being explored,
-    /// excluding nested explorations.
+    /// Self-instructions per predicate (needs [`Self::profile_timing`];
+    /// allocated with the span profiler): dispatch counts attributed to
+    /// the predicate being explored, excluding nested explorations.
     pred_instr_self: Vec<u64>,
     /// `(executed snapshot, child instructions)` per active
     /// `explore_entry` frame.
@@ -504,7 +503,7 @@ impl<'p> AbstractMachine<'p> {
             call_count: 0,
             profile_timing: false,
             stats: MachineStats::default(),
-            pred_instr_self: vec![0; program.predicates.len()],
+            pred_instr_self: Vec::new(),
             pred_instr_stack: Vec::new(),
             span: None,
             pred_names: Vec::new(),
@@ -548,14 +547,16 @@ impl<'p> AbstractMachine<'p> {
         Ok(())
     }
 
-    /// Lazily set up the span profiler and the predicate-name cache.
-    /// Called at the top of a fixpoint run when [`Self::profile_timing`]
-    /// is on; a no-op (one branch) otherwise.
+    /// Lazily set up the span profiler, the predicate-name cache and the
+    /// instruction heat. Called at the top of a fixpoint run when
+    /// [`Self::profile_timing`] is on; a no-op (one branch) otherwise.
     fn init_profiling(&mut self) {
         if self.profile_timing && self.span.is_none() {
-            self.pred_names = (0..self.program.predicates.len())
+            let preds = self.program.predicates.len();
+            self.pred_names = (0..preds)
                 .map(|p| Self::pred_name(self.program, p))
                 .collect();
+            self.pred_instr_self = vec![0; preds];
             self.span = Some(SpanProfiler::new());
         }
     }
@@ -600,46 +601,24 @@ impl<'p> AbstractMachine<'p> {
         &self.frame.opcodes
     }
 
-    /// Self-instructions per predicate (all zero unless
-    /// [`Self::profile_timing`] was set before the run).
-    pub fn pred_instr_self(&self) -> &[u64] {
-        &self.pred_instr_self
-    }
-
-    /// Close the span tree and assemble the metrics registry for this
-    /// run: consult latency, per-iteration widening/growth deltas, and
-    /// per-predicate instruction heat (the tree and the histograms move
-    /// out of the machine). `None` unless [`Self::profile_timing`] was on
-    /// (the registry would be empty).
-    pub fn take_profile(&mut self) -> Option<(SpanProfiler, MetricsRegistry)> {
+    /// Close the span tree and move this run's profile out of the
+    /// machine: the tree, the exploration count, the instruction heat
+    /// and the three histograms. `None` unless [`Self::profile_timing`]
+    /// was on.
+    pub fn take_profile(&mut self) -> Option<ProfileData> {
         if !self.profile_timing {
             return None;
         }
-        let mut span = self.span.take().unwrap_or_default();
-        span.finish();
-        let mut metrics = MetricsRegistry::new();
-        metrics.counter_add("analysis.calls", self.call_count);
-        metrics.counter_add("analysis.explorations", self.explorations);
-        metrics.counter_add("analysis.instructions", self.frame.executed);
-        metrics.counter_add("et.consults", self.table.stats().lookups);
-        metrics.counter_add("et.inserts", self.table.stats().inserts);
-        metrics.counter_add("et.lub_widenings", self.table.stats().lub_widenings);
-        for (pred, &instr) in self.pred_instr_self.iter().enumerate() {
-            if instr > 0 {
-                let key = match self.pred_names.get(pred) {
-                    Some(name) => format!("pred.instructions.{name}"),
-                    None => format!("pred.instructions.{}", Self::pred_name(self.program, pred)),
-                };
-                metrics.counter_add(&key, instr);
-            }
-        }
-        let hist = std::mem::take(&mut self.consult_hist);
-        metrics.insert_histogram("et.consult_ns", hist);
-        let hist = std::mem::take(&mut self.round_widen_hist);
-        metrics.insert_histogram("fixpoint.iteration_widenings", hist);
-        let hist = std::mem::take(&mut self.round_growth_hist);
-        metrics.insert_histogram("fixpoint.iteration_table_growth", hist);
-        Some((span, metrics))
+        let mut spans = self.span.take().unwrap_or_default();
+        spans.finish();
+        Some(ProfileData {
+            spans,
+            explorations: self.explorations,
+            pred_instructions: std::mem::take(&mut self.pred_instr_self),
+            consult_ns: std::mem::take(&mut self.consult_hist),
+            iteration_widenings: std::mem::take(&mut self.round_widen_hist),
+            iteration_table_growth: std::mem::take(&mut self.round_growth_hist),
+        })
     }
 
     /// Run the global fixpoint: repeat top-level exploration until the
@@ -798,12 +777,6 @@ impl<'p> AbstractMachine<'p> {
         &self.interner
     }
 
-    /// Consume the machine, keeping its extension table (so a session can
-    /// carry the memo entries into the next query).
-    pub fn into_table(self) -> ExtensionTable {
-        self.table
-    }
-
     /// Consume the machine, keeping its extension table *and* interner —
     /// the pair a session persists across queries (the ids in the table
     /// are only meaningful together with this interner, and its memo
@@ -832,9 +805,8 @@ impl<'p> AbstractMachine<'p> {
     /// edges, and incremental re-analysis needs them to compute the
     /// invalidation cone of an edit no matter how the table was built.
     fn note_dep(&mut self, pred: usize, idx: usize) {
-        let version = self.table.version(pred, idx);
         if let Some(frame) = self.dep_stack.last_mut() {
-            frame.push((pred, idx, version));
+            frame.push((pred, idx));
         }
     }
 
@@ -1174,9 +1146,9 @@ impl<'p> AbstractMachine<'p> {
         // see `note_dep`); only the worklist reads the reverse edges.
         let deps = self.dep_stack.pop().unwrap_or_default();
         if self.strategy == IterationStrategy::Dependency {
-            for &(p, i, _) in &deps {
+            for &dep in &deps {
                 self.rev_deps
-                    .entry((p, i))
+                    .entry(dep)
                     .or_default()
                     .insert((pred, entry_idx));
             }

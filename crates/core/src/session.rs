@@ -285,36 +285,6 @@ impl<'a> Session<'a> {
         self.analyze(name, &entry)
     }
 
-    /// Apply a clause-level edit to this session's program and carry the
-    /// memo table across: entries that transitively depend on a changed
-    /// predicate are invalidated and re-derived by a seeded re-fixpoint,
-    /// everything else survives untouched. Consumes the session (the new
-    /// program needs a new compiled analyzer, which the borrowed `'a`
-    /// analyzer cannot become) and returns an owning
-    /// [`crate::incremental::Workspace`] positioned on the edited
-    /// program.
-    ///
-    /// `source` must be the source text this session's analyzer was
-    /// compiled from — the same pairing contract as [`Session::resume`].
-    ///
-    /// # Errors
-    ///
-    /// [`crate::incremental::UpdateError`] when the edit does not apply,
-    /// the edited program fails to parse or compile, or the re-fixpoint
-    /// hits a resource bound.
-    pub fn update_program(
-        self,
-        source: &str,
-        edit: &crate::incremental::ProgramEdit,
-    ) -> Result<crate::incremental::Workspace, crate::incremental::UpdateError> {
-        let builder = self.analyzer.config_builder();
-        let budget = self.step_budget;
-        let parts = self.into_parts();
-        let mut workspace = crate::incremental::Workspace::resume(builder, source, parts, budget)?;
-        workspace.apply_edit(edit)?;
-        Ok(workspace)
-    }
-
     fn analyze_with(
         &mut self,
         name: &str,

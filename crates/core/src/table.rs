@@ -74,18 +74,15 @@ pub struct Entry {
     pub success: Option<PatternId>,
     /// The iteration in which this calling pattern was last explored.
     pub explored_iter: u64,
-    /// Version counter, bumped whenever the success summary grows (used
-    /// by the dependency-tracking iteration strategy).
-    pub version: u64,
 }
 
 #[derive(Clone, Debug, Default)]
 struct PredTable {
     entries: Vec<Entry>,
-    /// The table entries (and their versions) each entry's last
-    /// exploration read; parallel to `entries` (kept out of [`Entry`] so
-    /// the entry itself stays `Copy`).
-    deps: Vec<Vec<(usize, usize, u64)>>,
+    /// The table entries each entry's last exploration read; parallel to
+    /// `entries` (kept out of [`Entry`] so the entry itself stays
+    /// `Copy`).
+    deps: Vec<Vec<(usize, usize)>>,
     /// Calling-pattern id → entry index: an id-indexed probe that
     /// replaces the per-entry rescan while keeping the paper's semantics
     /// (interned ids make `call == entry.call` an integer compare, so one
@@ -255,7 +252,6 @@ impl ExtensionTable {
             call,
             success: None,
             explored_iter: iter,
-            version: 0,
         });
         table.deps.push(Vec::new());
         if let Some(prov) = self.prov.as_mut() {
@@ -273,34 +269,17 @@ impl ExtensionTable {
         self.preds[pred].entries[idx].explored_iter = iter;
     }
 
-    /// Record the dependencies observed while exploring `(pred, idx)`.
-    pub fn set_deps(&mut self, pred: usize, idx: usize, mut deps: Vec<(usize, usize, u64)>) {
+    /// Record the dependencies observed while exploring `(pred, idx)`
+    /// (sorted, each entry once).
+    pub fn set_deps(&mut self, pred: usize, idx: usize, mut deps: Vec<(usize, usize)>) {
         deps.sort_unstable();
         deps.dedup();
         self.preds[pred].deps[idx] = deps;
     }
 
     /// The recorded dependencies of an entry.
-    pub fn deps(&self, pred: usize, idx: usize) -> &[(usize, usize, u64)] {
+    pub fn deps(&self, pred: usize, idx: usize) -> &[(usize, usize)] {
         &self.preds[pred].deps[idx]
-    }
-
-    /// Whether every dependency of `(pred, idx)` still has the version it
-    /// had when the entry was last explored (and the entry has been
-    /// explored at least once).
-    pub fn deps_unchanged(&self, pred: usize, idx: usize) -> bool {
-        let entry = &self.preds[pred].entries[idx];
-        if entry.explored_iter == 0 {
-            return false;
-        }
-        self.preds[pred].deps[idx]
-            .iter()
-            .all(|&(p, i, v)| self.preds[p].entries[i].version == v)
-    }
-
-    /// The current version of an entry's summary.
-    pub fn version(&self, pred: usize, idx: usize) -> u64 {
-        self.preds[pred].entries[idx].version
     }
 
     /// Lub `success` into the entry (through `interner`'s memo caches);
@@ -341,13 +320,11 @@ impl ExtensionTable {
                 let new = interner.lub(old, success);
                 debug_assert_ne!(old, new, "leq said success ⋢ old, so the lub must grow");
                 entry.success = Some(new);
-                entry.version += 1;
                 self.stats.lub_widenings += 1;
                 new
             }
             None => {
                 entry.success = Some(success);
-                entry.version += 1;
                 success
             }
         };
@@ -381,11 +358,6 @@ impl ExtensionTable {
         &self.preds[pred].entries
     }
 
-    /// Number of predicate slots the table was created with.
-    pub fn num_preds(&self) -> usize {
-        self.preds.len()
-    }
-
     /// Quietly seed an entry migrated from another table: no stats
     /// counters move (the entry was not derived by this run), but the
     /// id index and the cached `max_explored_iter` are maintained, and
@@ -397,7 +369,6 @@ impl ExtensionTable {
         call: PatternId,
         success: Option<PatternId>,
         explored_iter: u64,
-        version: u64,
     ) -> usize {
         self.max_explored = self.max_explored.max(explored_iter);
         let table = &mut self.preds[pred];
@@ -407,7 +378,6 @@ impl ExtensionTable {
             call,
             success,
             explored_iter,
-            version,
         });
         table.deps.push(Vec::new());
         if let Some(prov) = self.prov.as_mut() {

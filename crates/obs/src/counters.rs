@@ -233,7 +233,7 @@ impl SessionStats {
     }
 }
 
-/// Counters for one incremental re-analysis (`update_program` /
+/// Counters for one incremental re-analysis (`apply_edit` /
 /// `update_source`): how the edit's invalidation wave partitioned the
 /// extension table and how much work the seeded re-fixpoint did.
 ///
@@ -303,9 +303,11 @@ impl InvalidationStats {
 /// shedding paths, compiled-program cache behavior, and warm-session
 /// pool behavior.
 ///
-/// The serve layer keeps these behind atomics and snapshots them into
-/// this struct for `stats` responses; the struct itself is plain `u64`s
-/// so it serializes and diffs like every other counter block.
+/// The serve layer keeps one block per connection and one per program
+/// cache and session pool shard, each under the lock its owner already
+/// holds, and merges them for `stats` responses; the struct itself is
+/// plain `u64`s so it serializes and diffs like every other counter
+/// block.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ServeStats {
     /// Analysis-plane requests received (`register`/`analyze`/`batch`,
@@ -344,6 +346,10 @@ pub struct ServeStats {
     /// Parked warm sessions migrated to the patched program by `update`
     /// ops (invalidated incrementally instead of being discarded).
     pub sessions_migrated: u64,
+    /// Program lookups that found a concurrent compile of the same
+    /// fingerprint in flight and waited for it instead of compiling
+    /// again.
+    pub compile_dedup_waits: u64,
 }
 
 impl ServeStats {
@@ -382,6 +388,10 @@ impl ServeStats {
                 "sessions_migrated",
                 Json::Int(self.sessions_migrated as i64),
             ),
+            (
+                "compile_dedup_waits",
+                Json::Int(self.compile_dedup_waits as i64),
+            ),
         ])
     }
 
@@ -404,6 +414,7 @@ impl ServeStats {
         self.warm_hits += other.warm_hits;
         self.updates += other.updates;
         self.sessions_migrated += other.sessions_migrated;
+        self.compile_dedup_waits += other.compile_dedup_waits;
     }
 
     /// Program-cache hit rate in [0, 1]; zero when no lookups happened.
@@ -566,16 +577,19 @@ mod tests {
         let mut a = ServeStats {
             updates: 1,
             sessions_migrated: 2,
+            compile_dedup_waits: 1,
             ..ServeStats::default()
         };
         let b = ServeStats {
             updates: 3,
             sessions_migrated: 5,
+            compile_dedup_waits: 2,
             ..ServeStats::default()
         };
         a.merge(&b);
         assert_eq!(a.updates, 4);
         assert_eq!(a.sessions_migrated, 7);
+        assert_eq!(a.compile_dedup_waits, 3);
         let json = a.to_json();
         assert_eq!(json.get("updates").and_then(Json::as_u64), Some(4));
         assert_eq!(

@@ -21,9 +21,9 @@
 //!   spans; the analyzer records fixpoint runs and predicates as spans
 //!   and charges the hot fixpoint [`Layer`]s to fixed leaf slots, one
 //!   clock read per layer boundary.
-//! * [`metrics`] — a [`MetricsRegistry`] of named counters and
-//!   log₂-bucket [`Histogram`]s with a stable JSON export (what
-//!   `awam profile --metrics-json` prints).
+//! * [`metrics`] — log₂-bucket [`Histogram`]s that merge exactly: the
+//!   analyzer's consult-latency and per-round distributions, and the
+//!   serve daemon's request latency.
 //! * [`mod@envelope`] — the versioned `{"schema": "awam/v1", …}` wrapper
 //!   every machine-readable surface (CLI `--stats-json` documents, the
 //!   serve daemon's responses) shares, plus the structured error
@@ -49,7 +49,7 @@ pub use counters::{
 };
 pub use envelope::{envelope, envelope_obj, error_envelope, SCHEMA};
 pub use json::{Json, JsonError};
-pub use metrics::{Histogram, MetricsRegistry};
+pub use metrics::Histogram;
 pub use span::{Layer, SpanNode, SpanProfiler};
 pub use trace::{
     parse_jsonl, term_from_json, term_to_json, JsonlTracer, NopTracer, RecordingTracer, TraceEvent,

@@ -1,12 +1,10 @@
-//! A metrics registry: named counters and log₂-bucket histograms with a
-//! stable JSON export.
+//! Log₂-bucket histograms with a stable JSON export.
 //!
-//! The analyzer fills a [`MetricsRegistry`] per profiled run (consult
-//! latency, iteration deltas, per-predicate instruction heat); it reaches
-//! users as `Analysis::profile` and through `awam profile
-//! --metrics-json`. The registry serializes to one JSON document with
-//! deterministic key order (`BTreeMap` under the hood) so diffs and
-//! schema checks are byte-stable modulo the measured values themselves.
+//! The analyzer records three per profiled run (ET-consult latency and
+//! the per-round widening and table-growth deltas, reaching users as
+//! `ProfileData` and through `awam profile --metrics-json`); the serve
+//! daemon keeps one per connection for request latency and merges them
+//! on a `stats` snapshot.
 //!
 //! [`Histogram`] uses 64 power-of-two buckets: value `v` lands in bucket
 //! `⌊log₂ v⌋ + 1` (zero in bucket 0), so a single fixed-size array
@@ -16,7 +14,6 @@
 //! most 2×, never an underestimate beyond the true bucket.
 
 use crate::json::Json;
-use std::collections::BTreeMap;
 
 /// Number of histogram buckets: bucket 0 holds zeros, bucket `i ≥ 1`
 /// holds values in `[2^(i-1), 2^i)`; the last bucket is open-ended.
@@ -140,74 +137,6 @@ impl Histogram {
     }
 }
 
-/// Named counters and histograms with stable (sorted) JSON export.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct MetricsRegistry {
-    counters: BTreeMap<String, u64>,
-    histograms: BTreeMap<String, Histogram>,
-}
-
-impl MetricsRegistry {
-    /// An empty registry.
-    pub fn new() -> MetricsRegistry {
-        MetricsRegistry::default()
-    }
-
-    /// Add `delta` to the counter `name` (creating it at zero).
-    pub fn counter_add(&mut self, name: &str, delta: u64) {
-        *self.counters.entry(name.to_owned()).or_insert(0) += delta;
-    }
-
-    /// Current value of counter `name`, if present.
-    pub fn counter(&self, name: &str) -> Option<u64> {
-        self.counters.get(name).copied()
-    }
-
-    /// Record one sample into the histogram `name` (creating it empty).
-    pub fn observe(&mut self, name: &str, value: u64) {
-        self.histograms
-            .entry(name.to_owned())
-            .or_default()
-            .record(value);
-    }
-
-    /// Install a pre-filled histogram under `name` (merging is not
-    /// needed: producers own their histograms and hand them over whole).
-    pub fn insert_histogram(&mut self, name: &str, hist: Histogram) {
-        self.histograms.insert(name.to_owned(), hist);
-    }
-
-    /// The histogram `name`, if present.
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
-    }
-
-    /// Encode as `{"counters": {…}, "histograms": {…}}` with keys in
-    /// sorted order.
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            (
-                "counters",
-                Json::Obj(
-                    self.counters
-                        .iter()
-                        .map(|(k, v)| (k.clone(), Json::Int(*v as i64)))
-                        .collect(),
-                ),
-            ),
-            (
-                "histograms",
-                Json::Obj(
-                    self.histograms
-                        .iter()
-                        .map(|(k, h)| (k.clone(), h.to_json()))
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -296,24 +225,5 @@ mod tests {
         assert_eq!(json.get("count").and_then(Json::as_u64), Some(0));
         assert_eq!(json.get("min").and_then(Json::as_u64), Some(0));
         assert_eq!(json.get("p99").and_then(Json::as_u64), Some(0));
-    }
-
-    #[test]
-    fn registry_json_is_sorted_and_stable() {
-        let mut reg = MetricsRegistry::new();
-        reg.counter_add("z.last", 1);
-        reg.counter_add("a.first", 2);
-        reg.counter_add("a.first", 3);
-        reg.observe("lat", 10);
-        assert_eq!(reg.counter("a.first"), Some(5));
-        let json = reg.to_json();
-        let Some(Json::Obj(counters)) = json.get("counters") else {
-            panic!("counters object");
-        };
-        let keys: Vec<&str> = counters.iter().map(|(k, _)| k.as_str()).collect();
-        assert_eq!(keys, vec!["a.first", "z.last"], "sorted key order");
-        assert!(json.get("histograms").and_then(|h| h.get("lat")).is_some());
-        // Emission is deterministic.
-        assert_eq!(json.emit(), reg.to_json().emit());
     }
 }

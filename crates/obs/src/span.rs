@@ -359,6 +359,15 @@ impl SpanProfiler {
         self.nodes[0].total_ns += ns;
     }
 
+    /// Total nanoseconds of the root's child span `name` (a phase entered
+    /// at the top level or spliced in by [`Self::record_phase`]); 0 if
+    /// there is none.
+    pub fn phase_ns(&self, name: &str) -> u64 {
+        self.children(0)
+            .find(|&c| self.name(c) == name)
+            .map_or(0, |c| self.nodes[c].total_ns)
+    }
+
     /// Close every open span (root included: its total becomes the time
     /// since construction). Call once, when profiling ends.
     pub fn finish(&mut self) {

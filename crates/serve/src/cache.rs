@@ -27,6 +27,7 @@
 //!   answers.
 
 use awam_core::{Analyzer, SessionParts};
+use awam_obs::ServeStats;
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -76,30 +77,6 @@ struct CacheSlot {
     last_used: u64,
 }
 
-/// Counters the cache maintains under its shard locks (summed into the
-/// serve stats on snapshot).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct CacheCounters {
-    /// Lookups that found the program compiled.
-    pub hits: u64,
-    /// Compilations performed (lookup misses that inserted).
-    pub misses: u64,
-    /// Slots evicted to stay under the byte budget.
-    pub evictions: u64,
-    /// Lookups that found a concurrent compile of the same fingerprint
-    /// in flight and waited for it instead of compiling again.
-    pub dedup_waits: u64,
-}
-
-impl CacheCounters {
-    fn merge(&mut self, other: &CacheCounters) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.evictions += other.evictions;
-        self.dedup_waits += other.dedup_waits;
-    }
-}
-
 /// The ticket concurrent requesters of an in-flight compile block on.
 struct Pending {
     result: Mutex<Option<Result<Arc<Analyzer>, CompileFailed>>>,
@@ -111,7 +88,8 @@ struct ShardInner {
     pending: HashMap<u64, Arc<Pending>>,
     clock: u64,
     bytes: usize,
-    counters: CacheCounters,
+    /// The shard's `program_cache_*` and `compile_dedup_waits` counts.
+    stats: ServeStats,
 }
 
 struct Shard {
@@ -126,7 +104,7 @@ impl Shard {
                 pending: HashMap::new(),
                 clock: 0,
                 bytes: 0,
-                counters: CacheCounters::default(),
+                stats: ServeStats::default(),
             }),
         }
     }
@@ -190,7 +168,7 @@ impl ProgramCache {
             Arc::clone(&slot.analyzer)
         });
         if found.is_some() {
-            inner.counters.hits += 1;
+            inner.stats.program_cache_hits += 1;
         }
         found
     }
@@ -236,11 +214,11 @@ impl ProgramCache {
             if let Some(slot) = inner.slots.get_mut(&hash) {
                 slot.last_used = clock;
                 let found = Arc::clone(&slot.analyzer);
-                inner.counters.hits += 1;
+                inner.stats.program_cache_hits += 1;
                 return Ok((found, Vec::new(), false));
             }
             if let Some(pending) = inner.pending.get(&hash).map(Arc::clone) {
-                inner.counters.dedup_waits += 1;
+                inner.stats.compile_dedup_waits += 1;
                 Some(pending)
             } else {
                 let pending = Arc::new(Pending {
@@ -264,7 +242,7 @@ impl ProgramCache {
                     // Count the dedup'd waiter as a hit: it found the
                     // program compiled (just barely).
                     let mut inner = shard.inner.lock().expect("cache shard poisoned");
-                    inner.counters.hits += 1;
+                    inner.stats.program_cache_hits += 1;
                     Ok((Arc::clone(analyzer), Vec::new(), false))
                 }
                 Err(failed) => Err(failed.clone()),
@@ -280,7 +258,7 @@ impl ProgramCache {
             .expect("leader's pending ticket is present");
         match compiled {
             Ok((analyzer, approx_bytes)) => {
-                inner.counters.misses += 1;
+                inner.stats.program_cache_misses += 1;
                 let evicted = insert_locked(
                     &mut inner,
                     hash,
@@ -308,27 +286,27 @@ impl ProgramCache {
     pub fn insert(&self, hash: u64, analyzer: Arc<Analyzer>, source_len: usize) -> Vec<u64> {
         let approx_bytes = approx_program_bytes(&analyzer, source_len);
         let mut inner = self.shard(hash).inner.lock().expect("cache shard poisoned");
-        inner.counters.misses += 1;
+        inner.stats.program_cache_misses += 1;
         insert_locked(&mut inner, hash, analyzer, approx_bytes, self.shard_budget)
     }
 
-    /// Snapshot `(programs, bytes, total byte budget, summed counters)`
+    /// Snapshot `(programs, bytes, total byte budget, merged counters)`
     /// across all shards.
-    pub fn snapshot(&self) -> (usize, usize, usize, CacheCounters) {
+    pub fn snapshot(&self) -> (usize, usize, usize, ServeStats) {
         let mut programs = 0;
         let mut bytes = 0;
-        let mut counters = CacheCounters::default();
+        let mut stats = ServeStats::default();
         for shard in self.shards.iter() {
             let inner = shard.inner.lock().expect("cache shard poisoned");
             programs += inner.slots.len();
             bytes += inner.bytes;
-            counters.merge(&inner.counters);
+            stats.merge(&inner.stats);
         }
         (
             programs,
             bytes,
             self.shard_budget * self.shards.len(),
-            counters,
+            stats,
         )
     }
 }
@@ -368,7 +346,7 @@ fn insert_locked(
         };
         let slot = inner.slots.remove(&victim).expect("victim present");
         inner.bytes -= slot.approx_bytes;
-        inner.counters.evictions += 1;
+        inner.stats.program_cache_evictions += 1;
         evicted.push(victim);
     }
     evicted
@@ -383,22 +361,14 @@ pub(crate) fn approx_program_bytes(analyzer: &Analyzer, source_len: usize) -> us
     program.code_size() * 48 + program.predicates.len() * 96 + source_len + 1024
 }
 
-/// Counters the pool maintains under its shard locks.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct PoolCounters {
-    /// Checkouts that found a parked warm session.
-    pub hits: u64,
-    /// Checkouts that had to start a fresh session.
-    pub misses: u64,
-}
-
 struct PoolShard {
     inner: Mutex<PoolInner>,
 }
 
 struct PoolInner {
     pools: HashMap<(String, u64), Vec<SessionParts>>,
-    counters: PoolCounters,
+    /// The shard's `session_pool_*` counts.
+    stats: ServeStats,
 }
 
 /// Per-`(tenant, program)` pools of parked warm sessions, sharded by a
@@ -428,7 +398,7 @@ impl SessionPool {
                 .map(|_| PoolShard {
                     inner: Mutex::new(PoolInner {
                         pools: HashMap::new(),
-                        counters: PoolCounters::default(),
+                        stats: ServeStats::default(),
                     }),
                 })
                 .collect(),
@@ -463,11 +433,11 @@ impl SessionPool {
             .and_then(Vec::pop);
         match parts {
             Some(p) => {
-                inner.counters.hits += 1;
+                inner.stats.session_pool_hits += 1;
                 Some(p)
             }
             None => {
-                inner.counters.misses += 1;
+                inner.stats.session_pool_misses += 1;
                 None
             }
         }
@@ -521,17 +491,16 @@ impl SessionPool {
         taken
     }
 
-    /// Snapshot `(parked sessions across all keys, summed counters)`.
-    pub fn snapshot(&self) -> (usize, PoolCounters) {
+    /// Snapshot `(parked sessions across all keys, merged counters)`.
+    pub fn snapshot(&self) -> (usize, ServeStats) {
         let mut parked = 0;
-        let mut counters = PoolCounters::default();
+        let mut stats = ServeStats::default();
         for shard in self.shards.iter() {
             let inner = shard.inner.lock().expect("pool shard poisoned");
             parked += inner.pools.values().map(Vec::len).sum::<usize>();
-            counters.hits += inner.counters.hits;
-            counters.misses += inner.counters.misses;
+            stats.merge(&inner.stats);
         }
-        (parked, counters)
+        (parked, stats)
     }
 }
 
@@ -558,11 +527,15 @@ mod tests {
         let a = cache.get(hash).expect("cached");
         let b = cache.get(hash).expect("cached");
         assert!(Arc::ptr_eq(&a, &b), "one compiled artifact, shared");
-        let (programs, bytes, _, counters) = cache.snapshot();
+        let (programs, bytes, _, stats) = cache.snapshot();
         assert_eq!(programs, 1);
         assert!(bytes > 0);
         assert_eq!(
-            (counters.hits, counters.misses, counters.evictions),
+            (
+                stats.program_cache_hits,
+                stats.program_cache_misses,
+                stats.program_cache_evictions
+            ),
             (2, 1, 0)
         );
     }
@@ -580,8 +553,8 @@ mod tests {
         assert_eq!(evicted, vec![1], "LRU slot evicted");
         assert!(cache.peek(1).is_none());
         assert!(cache.peek(2).is_some(), "newest insert is never evicted");
-        let (_, _, _, counters) = cache.snapshot();
-        assert_eq!(counters.evictions, 1);
+        let (_, _, _, stats) = cache.snapshot();
+        assert_eq!(stats.program_cache_evictions, 1);
     }
 
     #[test]
@@ -627,11 +600,14 @@ mod tests {
             }
         });
         assert_eq!(compiles.load(Ordering::SeqCst), 1, "compiled exactly once");
-        let (_, _, _, counters) = cache.snapshot();
-        assert_eq!(counters.misses, 1);
-        assert_eq!(counters.hits, 7, "each non-leader counts one hit");
+        let (_, _, _, stats) = cache.snapshot();
+        assert_eq!(stats.program_cache_misses, 1);
+        assert_eq!(
+            stats.program_cache_hits, 7,
+            "each non-leader counts one hit"
+        );
         assert!(
-            counters.dedup_waits <= 7,
+            stats.compile_dedup_waits <= 7,
             "waiters that overlapped the compile counted a dedup wait"
         );
     }
@@ -728,9 +704,9 @@ mod tests {
             .expect("analysis runs");
         assert_eq!(analysis.iterations, 0, "warm hit from the parked table");
 
-        let (_, counters) = pool.snapshot();
-        assert_eq!(counters.hits, 1);
-        assert_eq!(counters.misses, 2);
+        let (_, stats) = pool.snapshot();
+        assert_eq!(stats.session_pool_hits, 1);
+        assert_eq!(stats.session_pool_misses, 2);
     }
 
     #[test]

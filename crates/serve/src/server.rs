@@ -907,11 +907,8 @@ fn do_stats(state: &ServerState, id: Option<i64>) -> Json {
     let (parked, pool) = state.pools.snapshot();
     let merged = state.stats.snapshot();
     let mut stats = merged.serve;
-    stats.program_cache_hits = cache.hits;
-    stats.program_cache_misses = cache.misses;
-    stats.program_cache_evictions = cache.evictions;
-    stats.session_pool_hits = pool.hits;
-    stats.session_pool_misses = pool.misses;
+    stats.merge(&cache);
+    stats.merge(&pool);
     let latency = &merged.latency_us;
     let latency_json = Json::obj(vec![
         ("count", Json::Int(latency.count as i64)),
@@ -931,10 +928,6 @@ fn do_stats(state: &ServerState, id: Option<i64>) -> Json {
     let Json::Obj(mut counters) = stats.to_json() else {
         unreachable!("ServeStats::to_json returns an object");
     };
-    counters.push((
-        "compile_dedup_waits".to_owned(),
-        Json::Int(cache.dedup_waits as i64),
-    ));
     counters.push((
         "cache_hit_rate".to_owned(),
         Json::Float(stats.cache_hit_rate()),

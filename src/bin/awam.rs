@@ -45,13 +45,13 @@
 //! All commands exit non-zero on failure and report errors through the
 //! unified [`awam::Error`] type — no panics on user input.
 
-use awam::analysis::{Analysis, AnalyzerBuilder, BatchGoal};
+use awam::analysis::{Analysis, AnalyzerBuilder, BatchGoal, ProfileData};
 use awam::machine::Machine;
 use awam::obs::{envelope, envelope_obj, Json, JsonlTracer, SpanProfiler, Tracer};
 use awam::syntax::parse_program;
 use awam::wam::compile_program;
 use awam::{Analyzer, Error};
-use std::io::BufWriter;
+use std::io::{self, BufWriter, Write};
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -91,6 +91,8 @@ fn main() -> ExitCode {
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
+        // A reader that stopped reading (`awam … | head`) is not a failure.
+        Err(Error::Io(e)) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("awam: {e}");
             ExitCode::FAILURE
@@ -155,22 +157,25 @@ fn cmd_compile(args: &[String]) -> CmdResult {
     let path = args.first().ok_or("compile: missing FILE.pl")?;
     let program = load(path)?;
     let compiled = compile_program(&program)?;
+    let mut out = io::stdout().lock();
     if let Some(i) = args.iter().position(|a| a == "--emit") {
-        let out = args.get(i + 1).ok_or("compile: --emit needs a path")?;
-        std::fs::write(out, awam::wam::text::to_text(&compiled))?;
-        println!(
-            "wrote {} instructions ({} predicates) to {out}",
+        let dest = args.get(i + 1).ok_or("compile: --emit needs a path")?;
+        std::fs::write(dest, awam::wam::text::to_text(&compiled))?;
+        writeln!(
+            out,
+            "wrote {} instructions ({} predicates) to {dest}",
             compiled.code_size(),
             compiled.predicates.len()
-        );
+        )?;
         return Ok(());
     }
-    println!(
+    writeln!(
+        out,
         "% {} predicates, {} instructions",
         compiled.predicates.len(),
         compiled.code_size()
-    );
-    println!("{}", compiled.listing());
+    )?;
+    writeln!(out, "{}", compiled.listing())?;
     Ok(())
 }
 
@@ -184,12 +189,14 @@ fn cmd_disasm(args: &[String]) -> CmdResult {
     } else {
         compile_program(&load(path)?)?
     };
-    println!(
+    let mut out = io::stdout().lock();
+    writeln!(
+        out,
         "% {} predicates, {} instructions",
         compiled.predicates.len(),
         compiled.code_size()
-    );
-    println!("{}", compiled.listing());
+    )?;
+    writeln!(out, "{}", compiled.listing())?;
     Ok(())
 }
 
@@ -204,21 +211,12 @@ fn analyzer_builder(flags: &ObsFlags) -> AnalyzerBuilder {
 /// `phases` JSON object and the `--stats` lines list them.
 const PHASES: [&str; 5] = ["parse", "compile", "analyze", "execute", "report"];
 
-/// Nanoseconds recorded for the root span `phase` (0 if never entered).
-fn phase_ns(phases: &SpanProfiler, phase: &str) -> u64 {
-    phases
-        .walk()
-        .into_iter()
-        .find(|&(depth, node)| depth == 1 && node.name == phase)
-        .map_or(0, |(_, node)| node.total_ns)
-}
-
 /// The `phases` JSON object: `{"parse_ns": …, "compile_ns": …, …}`.
 fn phases_json(phases: &SpanProfiler) -> Json {
     Json::Obj(
         PHASES
             .iter()
-            .map(|p| (format!("{p}_ns"), Json::Int(phase_ns(phases, p) as i64)))
+            .map(|p| (format!("{p}_ns"), Json::Int(phases.phase_ns(p) as i64)))
             .collect(),
     )
 }
@@ -227,7 +225,7 @@ fn phases_json(phases: &SpanProfiler) -> Json {
 fn render_phases(phases: &SpanProfiler) -> String {
     PHASES
         .iter()
-        .map(|p| (p, phase_ns(phases, p) as f64 / 1000.0))
+        .map(|p| (p, phases.phase_ns(p) as f64 / 1000.0))
         .filter(|&(_, us)| us > 0.0)
         .map(|(p, us)| format!("phase {p:<8} {us:>10.1} us\n"))
         .collect()
@@ -257,16 +255,18 @@ fn run_analysis(
     })?;
     let report = phases.time("report", || analysis.report(analyzer));
 
+    let mut out = io::stdout().lock();
     if flags.stats_json {
-        println!(
+        writeln!(
+            out,
             "{}",
             envelope_obj("stats", stats_doc(&analysis, &phases)).emit_pretty()
-        );
+        )?;
         return Ok(());
     }
-    print!("{report}");
+    write!(out, "{report}")?;
     if flags.stats {
-        print!("{}", render_stats(&analysis, &phases));
+        write!(out, "{}", render_stats(&analysis, &phases))?;
     }
     Ok(())
 }
@@ -312,9 +312,14 @@ fn render_stats(analysis: &Analysis, phases: &SpanProfiler) -> String {
         i.bytes_saved
     ));
     out.push_str(&render_phases(phases));
-    if !analysis.pred_times.is_empty() {
+    let pred_times = analysis
+        .profile
+        .as_ref()
+        .map(ProfileData::pred_self_ns)
+        .unwrap_or_default();
+    if !pred_times.is_empty() {
         out.push_str("self-time by predicate:\n");
-        for (name, ns) in analysis.pred_times.iter().take(10) {
+        for (name, ns) in pred_times.iter().take(10) {
             out.push_str(&format!(
                 "  {:<20} {:>10.1} us\n",
                 name,
@@ -369,6 +374,7 @@ fn cmd_run(args: &[String]) -> CmdResult {
     }
     let solutions = phases.time("execute", || machine.solve_all(goal, limit))?;
 
+    let mut out = io::stdout().lock();
     if flags.stats_json {
         let doc = Json::obj(vec![
             ("solutions", Json::Int(solutions.len() as i64)),
@@ -383,42 +389,44 @@ fn cmd_run(args: &[String]) -> CmdResult {
         if let Some(tracer) = tracer {
             tracer.into_inner()?;
         }
-        println!("{}", envelope_obj("run", doc).emit_pretty());
+        writeln!(out, "{}", envelope_obj("run", doc).emit_pretty())?;
         return Ok(());
     }
     if solutions.is_empty() {
-        println!("false.");
+        writeln!(out, "false.")?;
     }
     for s in &solutions {
         if s.bindings.is_empty() {
-            println!("true.");
+            writeln!(out, "true.")?;
         } else {
             let bindings: Vec<String> = s
                 .bindings
                 .iter()
                 .map(|(name, _, text)| format!("{name} = {text}"))
                 .collect();
-            println!("{} ;", bindings.join(", "));
+            writeln!(out, "{} ;", bindings.join(", "))?;
         }
     }
     if !machine.output.is_empty() {
-        println!("--- output ---\n{}", machine.output);
+        writeln!(out, "--- output ---\n{}", machine.output)?;
     }
     if flags.stats {
         let m = machine.machine_stats();
-        println!("\n--- stats ---");
-        println!(
+        writeln!(out, "\n--- stats ---")?;
+        writeln!(
+            out,
             "machine: {} instructions, {} calls, {} backtracks, {} choice points",
             m.instructions, m.calls, m.backtracks, m.choice_points
-        );
-        println!(
+        )?;
+        writeln!(
+            out,
             "high water: heap {}, trail {}",
             m.heap_high_water, m.trail_high_water
-        );
-        print!("{}", render_phases(&phases));
-        println!("opcode dispatches:");
+        )?;
+        write!(out, "{}", render_phases(&phases))?;
+        writeln!(out, "opcode dispatches:")?;
         for (name, count) in machine.opcodes().nonzero(&awam::wam::OPCODE_NAMES) {
-            println!("  {name:<20} {count:>10}");
+            writeln!(out, "  {name:<20} {count:>10}")?;
         }
     }
     drop(machine);
@@ -508,6 +516,7 @@ fn cmd_batch(args: &[String]) -> CmdResult {
     let results = analyzer.analyze_batch(&goals, workers);
     let batch_ns = start.elapsed().as_nanos() as u64;
 
+    let mut out = io::stdout().lock();
     let mut docs = Vec::new();
     let mut failed = 0usize;
     for (goal, result) in goals.iter().zip(&results) {
@@ -522,20 +531,21 @@ fn cmd_batch(args: &[String]) -> CmdResult {
                     pairs.insert(1, ("entry".to_owned(), Json::Str(label)));
                     docs.push(Json::Obj(pairs));
                 } else {
-                    println!(
+                    writeln!(
+                        out,
                         "{}{}: {} predicates, {} iterations, {} instructions",
                         goal.name,
                         label,
                         analysis.predicates.len(),
                         analysis.iterations,
                         analysis.instructions_executed
-                    );
+                    )?;
                 }
             }
             Err(e) => {
                 failed += 1;
                 if !stats_json {
-                    println!("{}{}: error: {e}", goal.name, label);
+                    writeln!(out, "{}{}: error: {e}", goal.name, label)?;
                 }
             }
         }
@@ -547,15 +557,16 @@ fn cmd_batch(args: &[String]) -> CmdResult {
             ("failed", Json::Int(failed as i64)),
             ("batch_ns", Json::Int(batch_ns as i64)),
         ]);
-        println!("{}", envelope_obj("batch", doc).emit_pretty());
+        writeln!(out, "{}", envelope_obj("batch", doc).emit_pretty())?;
     } else {
-        println!(
+        writeln!(
+            out,
             "batch: {} goals on {} workers in {:.1} ms ({} failed)",
             goals.len(),
             workers,
             batch_ns as f64 / 1e6,
             failed
-        );
+        )?;
     }
     if failed > 0 {
         return Err(Error::Usage(format!("batch: {failed} goal(s) failed")));
@@ -588,6 +599,7 @@ fn batch_suite(names: &[String], workers: usize, stats_json: bool) -> CmdResult 
     });
     let batch_ns = start.elapsed().as_nanos() as u64;
 
+    let mut out = io::stdout().lock();
     let mut docs = Vec::new();
     let mut failed = 0usize;
     for (b, result) in benches.iter().zip(&results) {
@@ -600,19 +612,20 @@ fn batch_suite(names: &[String], workers: usize, stats_json: bool) -> CmdResult 
                     pairs.insert(0, ("benchmark".to_owned(), Json::Str(b.name.to_owned())));
                     docs.push(Json::Obj(pairs));
                 } else {
-                    println!(
+                    writeln!(
+                        out,
                         "{}: {} predicates, {} iterations, {} instructions",
                         b.name,
                         analysis.predicates.len(),
                         analysis.iterations,
                         analysis.instructions_executed
-                    );
+                    )?;
                 }
             }
             Err(e) => {
                 failed += 1;
                 if !stats_json {
-                    println!("{}: error: {e}", b.name);
+                    writeln!(out, "{}: error: {e}", b.name)?;
                 }
             }
         }
@@ -624,15 +637,16 @@ fn batch_suite(names: &[String], workers: usize, stats_json: bool) -> CmdResult 
             ("failed", Json::Int(failed as i64)),
             ("batch_ns", Json::Int(batch_ns as i64)),
         ]);
-        println!("{}", envelope_obj("batch", doc).emit_pretty());
+        writeln!(out, "{}", envelope_obj("batch", doc).emit_pretty())?;
     } else {
-        println!(
+        writeln!(
+            out,
             "batch: {} programs on {} workers in {:.1} ms ({} failed)",
             benches.len(),
             workers,
             batch_ns as f64 / 1e6,
             failed
-        );
+        )?;
     }
     if failed > 0 {
         return Err(Error::Usage(format!("batch: {failed} program(s) failed")));
@@ -730,20 +744,23 @@ fn cmd_explain(args: &[String]) -> CmdResult {
             entry_pattern.display(analyzer.interner())
         )));
     };
+    let mut out = io::stdout().lock();
     if json {
         let single = awam::analysis::DerivationReport {
             predicates: vec![pred.clone()],
         };
-        println!(
+        writeln!(
+            out,
             "{}",
             envelope_obj("explain", single.to_json()).emit_pretty()
-        );
+        )?;
     } else {
-        println!(
+        writeln!(
+            out,
             "entry {entry_name}{}",
             entry_pattern.display(analyzer.interner())
-        );
-        print!("{}", pred.render());
+        )?;
+        write!(out, "{}", pred.render())?;
     }
     Ok(())
 }
@@ -751,7 +768,7 @@ fn cmd_explain(args: &[String]) -> CmdResult {
 /// `awam profile`: analyze with self-profiling on and print where the
 /// run spent its time — hot predicates (self time and instruction heat),
 /// hot opcodes, and the hierarchical span tree. `--metrics-json` emits
-/// the full metrics registry and span tree as one JSON document.
+/// the run's counters, histograms and span tree as one JSON document.
 fn cmd_profile(args: &[String]) -> CmdResult {
     let mut top = 10usize;
     let mut metrics_json = false;
@@ -788,52 +805,57 @@ fn cmd_profile(args: &[String]) -> CmdResult {
     };
 
     let analysis = analyzer.analyze(&name, &entry)?;
+    let mut out = io::stdout().lock();
+    if metrics_json {
+        let doc = analysis
+            .profile_json(&analyzer)
+            .expect("profiling was enabled on the builder");
+        writeln!(out, "{}", doc.emit_pretty())?;
+        return Ok(());
+    }
     let profile = analysis
         .profile
         .as_ref()
         .expect("profiling was enabled on the builder");
 
-    if metrics_json {
-        let doc = Json::obj(vec![
-            ("metrics", profile.metrics.to_json()),
-            ("spans", profile.spans.to_json()),
-        ]);
-        println!("{}", envelope_obj("profile", doc).emit_pretty());
-        return Ok(());
-    }
-
-    println!(
+    writeln!(
+        out,
         "profile: {name}/{arity} entry {} — {} iterations, {} instructions, {:.2} ms",
         entry.display(analyzer.interner()),
         analysis.iterations,
         analysis.instructions_executed,
         analysis.analyze_ns as f64 / 1e6
-    );
-    if !analysis.pred_times.is_empty() {
-        let instrs: std::collections::HashMap<&str, u64> = analysis
-            .pred_instrs
+    )?;
+    let pred_times = profile.pred_self_ns();
+    if !pred_times.is_empty() {
+        let program = analyzer.program();
+        let instrs: std::collections::HashMap<String, u64> = program
+            .predicates
             .iter()
-            .map(|(n, c)| (n.as_str(), *c))
+            .zip(&profile.pred_instructions)
+            .map(|(p, &n)| (p.key.display(&program.interner), n))
             .collect();
-        println!("hot predicates (self time):");
-        for (pred, ns) in analysis.pred_times.iter().take(top) {
-            println!(
+        writeln!(out, "hot predicates (self time):")?;
+        for (pred, ns) in pred_times.iter().take(top) {
+            writeln!(
+                out,
                 "  {:<20} {:>10.1} us {:>10} instructions",
                 pred,
                 *ns as f64 / 1000.0,
-                instrs.get(pred.as_str()).copied().unwrap_or(0)
-            );
+                instrs.get(*pred).copied().unwrap_or(0)
+            )?;
         }
     }
     let mut opcodes = analysis.opcodes.nonzero(&awam::wam::OPCODE_NAMES);
     opcodes.sort_by_key(|&(_, count)| std::cmp::Reverse(count));
-    println!("hot opcodes:");
+    writeln!(out, "hot opcodes:")?;
     for (op, count) in opcodes.iter().take(top) {
-        println!("  {op:<20} {count:>10}");
+        writeln!(out, "  {op:<20} {count:>10}")?;
     }
-    println!("spans:");
+    writeln!(out, "spans:")?;
     for (depth, node) in profile.spans.walk() {
-        println!(
+        writeln!(
+            out,
             "  {:indent$}{:<24} {:>8} calls {:>12.1} us total {:>12.1} us self",
             "",
             node.name,
@@ -841,7 +863,7 @@ fn cmd_profile(args: &[String]) -> CmdResult {
             node.total_ns as f64 / 1000.0,
             node.self_ns() as f64 / 1000.0,
             indent = depth * 2
-        );
+        )?;
     }
     Ok(())
 }
@@ -902,11 +924,13 @@ fn cmd_watch(args: &[String]) -> CmdResult {
     let source = std::fs::read_to_string(path)?;
     let mut ws = awam::analysis::Workspace::from_source(&source).map_err(update_error)?;
     let analysis = ws.analyze(pred, &specs)?;
-    println!("{}", analysis.report(ws.analyzer()));
-    println!(
+    let mut out = io::stdout().lock();
+    writeln!(out, "{}", analysis.report(ws.analyzer()))?;
+    writeln!(
+        out,
         "watching {path} ({} entries memoized, polling every {interval_ms}ms)",
         ws.memo_len()
-    );
+    )?;
     let mut updates = 0u64;
     while max_updates.is_none_or(|m| updates < m) {
         std::thread::sleep(std::time::Duration::from_millis(interval_ms));
@@ -923,7 +947,8 @@ fn cmd_watch(args: &[String]) -> CmdResult {
         match ws.update_source(&new_source) {
             Ok(stats) => {
                 updates += 1;
-                println!(
+                writeln!(
+                    out,
                     "-- update {updates}: {} predicate(s) changed, {} removed; \
                      entries kept {}/{}, reset {}, dropped {}; frontier {}, \
                      repair explorations {}",
@@ -935,9 +960,9 @@ fn cmd_watch(args: &[String]) -> CmdResult {
                     stats.entries_dropped,
                     stats.frontier,
                     stats.refix_explorations
-                );
+                )?;
                 match ws.analyze(pred, &specs) {
-                    Ok(analysis) => println!("{}", analysis.report(ws.analyzer())),
+                    Ok(analysis) => writeln!(out, "{}", analysis.report(ws.analyzer()))?,
                     Err(e) => eprintln!("watch: analysis failed: {e}"),
                 }
             }
@@ -1006,6 +1031,7 @@ fn cmd_fuzz(args: &[String]) -> CmdResult {
     }
 
     let report = run_campaign(&config);
+    let mut out = io::stdout().lock();
     match report.failure {
         None => {
             if json {
@@ -1015,25 +1041,30 @@ fn cmd_fuzz(args: &[String]) -> CmdResult {
                     ("checks", awam::obs::Json::Int(report.checks_run as i64)),
                     ("failed", awam::obs::Json::Bool(false)),
                 ]);
-                println!("{}", envelope_obj("fuzz", doc).emit_pretty());
+                writeln!(out, "{}", envelope_obj("fuzz", doc).emit_pretty())?;
             } else {
                 let oracles: Vec<&str> = config.oracles.iter().map(|o| o.name()).collect();
-                println!(
+                writeln!(
+                    out,
                     "fuzz: {} cases x {} oracles ({}) from seed {}: all passed ({} checks)",
                     report.cases_run,
                     config.oracles.len(),
                     oracles.join(","),
                     config.seed,
                     report.checks_run
-                );
+                )?;
             }
             Ok(())
         }
         Some(failure) => {
             if json {
-                println!("{}", envelope_obj("fuzz", failure.to_json()).emit_pretty());
+                writeln!(
+                    out,
+                    "{}",
+                    envelope_obj("fuzz", failure.to_json()).emit_pretty()
+                )?;
             } else {
-                print!("{}", failure.render());
+                write!(out, "{}", failure.render())?;
             }
             Err(Error::Usage(format!(
                 "fuzz: oracle `{}` failed on case {} after {} checks",
@@ -1099,11 +1130,13 @@ fn cmd_serve(args: &[String]) -> CmdResult {
         "serving",
         vec![("addr", Json::Str(server.local_addr().to_string()))],
     );
-    println!("{}", announce.emit());
     // The announcement must reach a piping consumer before the first
-    // request arrives.
-    use std::io::Write as _;
-    std::io::stdout().flush()?;
+    // request arrives (and the lock must not outlive it).
+    {
+        let mut out = io::stdout().lock();
+        writeln!(out, "{}", announce.emit())?;
+        out.flush()?;
+    }
     server.run()?;
     Ok(())
 }
@@ -1143,7 +1176,7 @@ fn cmd_loadgen(args: &[String]) -> CmdResult {
 
     let doc = run_loadgen(&config)?;
     std::fs::write(&out, format!("{}\n", doc.emit_pretty()))?;
-    println!("{}", doc.emit_pretty());
+    writeln!(io::stdout().lock(), "{}", doc.emit_pretty())?;
     let total = doc.get("total_queries").and_then(Json::as_i64).unwrap_or(0);
     let wall_ms = doc.get("wall_ms").and_then(Json::as_f64).unwrap_or(0.0);
     let throughput = doc
@@ -1173,11 +1206,13 @@ fn cmd_bench(args: &[String]) -> CmdResult {
     let start = Instant::now();
     let analysis = analyzer.analyze(bench.entry, &entry)?;
     let elapsed = start.elapsed();
-    println!(
+    let mut out = io::stdout().lock();
+    writeln!(
+        out,
         "{name}: analyzed in {elapsed:?} ({} abstract instructions, {} iterations)",
         analysis.instructions_executed, analysis.iterations
-    );
-    print!("{}", analysis.report(&analyzer));
+    )?;
+    write!(out, "{}", analysis.report(&analyzer))?;
     Ok(())
 }
 

@@ -6,7 +6,7 @@
 //! scrapers key on exactly those names.
 
 use awam::analysis::AnalyzerBuilder;
-use awam::obs::{envelope_obj, Json};
+use awam::obs::Json;
 use awam::syntax::parse_program;
 
 const NREV: &str = "
@@ -24,14 +24,9 @@ fn profile_doc() -> Json {
         .compile(&program)
         .unwrap();
     let analysis = analyzer.analyze_query("nrev", &["glist", "var"]).unwrap();
-    let profile = analysis.profile.expect("profiling was enabled");
-    envelope_obj(
-        "profile",
-        Json::obj(vec![
-            ("metrics", profile.metrics.to_json()),
-            ("spans", profile.spans.to_json()),
-        ]),
-    )
+    analysis
+        .profile_json(&analyzer)
+        .expect("profiling was enabled")
 }
 
 fn schema() -> Json {
@@ -137,5 +132,5 @@ fn profile_is_none_without_opt_in() {
     let analyzer = AnalyzerBuilder::new().compile(&program).unwrap();
     let analysis = analyzer.analyze_query("nrev", &["glist", "var"]).unwrap();
     assert!(analysis.profile.is_none());
-    assert!(analysis.pred_instrs.is_empty());
+    assert!(analysis.profile_json(&analyzer).is_none());
 }

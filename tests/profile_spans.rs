@@ -3,14 +3,23 @@
 //! work the analyzer's counters count, the self times must partition the
 //! root's total, and switching profiling on must change no result.
 
-use awam::analysis::{Analysis, AnalyzerBuilder};
+use awam::analysis::{Analysis, AnalyzerBuilder, IterationStrategy};
 use awam::obs::{Layer, SpanProfiler};
 use awam::suite;
 
 fn analyze(b: &suite::Benchmark, profiling: bool) -> (Analysis, String) {
+    analyze_with(b, profiling, IterationStrategy::GlobalRestart)
+}
+
+fn analyze_with(
+    b: &suite::Benchmark,
+    profiling: bool,
+    strategy: IterationStrategy,
+) -> (Analysis, String) {
     let program = b.parse().expect("parse");
     let analyzer = AnalyzerBuilder::new()
         .profiling(profiling)
+        .strategy(strategy)
         .compile(&program)
         .expect("compile");
     let analysis = analyzer
@@ -62,17 +71,6 @@ fn span_tree_counts_what_the_counters_count() {
             "{}: et-update calls",
             b.name
         );
-        let predicate_calls: u64 = walk
-            .iter()
-            .filter(|(_, node)| node.layer.is_none() && is_predicate_span(node.name))
-            .map(|(_, node)| node.calls)
-            .sum();
-        assert_eq!(
-            Some(predicate_calls),
-            profile.metrics.counter("analysis.explorations"),
-            "{}: predicate-span calls",
-            b.name
-        );
         let self_sum: u64 = walk.iter().map(|(_, node)| node.self_ns()).sum();
         assert_eq!(
             self_sum,
@@ -80,6 +78,45 @@ fn span_tree_counts_what_the_counters_count() {
             "{}: self times partition the root",
             b.name
         );
+    }
+}
+
+/// Calls summed over every predicate span.
+fn predicate_calls(spans: &SpanProfiler) -> u64 {
+    spans
+        .walk()
+        .iter()
+        .filter(|(_, node)| node.layer.is_none() && is_predicate_span(node.name))
+        .map(|(_, node)| node.calls)
+        .sum()
+}
+
+/// One predicate span per exploration, under both strategies; the
+/// worklist strategy reports its explorations as `iterations`, so there
+/// the span tree also agrees with a counter the profile does not own.
+#[test]
+fn predicate_spans_count_the_explorations() {
+    for strategy in [
+        IterationStrategy::GlobalRestart,
+        IterationStrategy::Dependency,
+    ] {
+        for b in suite::all() {
+            let (analysis, _) = analyze_with(&b, true, strategy);
+            let profile = analysis.profile.as_ref().expect("profiling was enabled");
+            let calls = predicate_calls(&profile.spans);
+            assert_eq!(
+                calls, profile.explorations,
+                "{} ({strategy:?}): predicate-span calls",
+                b.name
+            );
+            if strategy == IterationStrategy::Dependency {
+                assert_eq!(
+                    calls, analysis.iterations,
+                    "{}: worklist explorations",
+                    b.name
+                );
+            }
+        }
     }
 }
 

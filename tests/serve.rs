@@ -119,6 +119,66 @@ fn concurrent_tenants_get_single_shot_identical_results() {
         counters.get("responses_error").and_then(Json::as_i64),
         Some(0)
     );
+    // The whole `counters` object, keys in order. `reuse: false`
+    // bypasses the session pools, and the stats op counts itself.
+    let Json::Obj(pairs) = counters else {
+        panic!("counters is an object");
+    };
+    let keys: Vec<&str> = pairs.iter().map(|(k, _)| k.as_str()).collect();
+    assert_eq!(
+        keys,
+        [
+            "requests",
+            "control_ops",
+            "responses_ok",
+            "responses_error",
+            "shed_overload",
+            "shed_budget",
+            "program_cache_hits",
+            "program_cache_misses",
+            "program_cache_evictions",
+            "session_pool_hits",
+            "session_pool_misses",
+            "warm_hits",
+            "updates",
+            "sessions_migrated",
+            "compile_dedup_waits",
+            "cache_hit_rate",
+            "pool_hit_rate",
+        ]
+    );
+    let counts: Vec<(&str, i64)> = pairs
+        .iter()
+        .filter_map(|(k, v)| Some((k.as_str(), v.as_i64()?)))
+        .collect();
+    assert_eq!(
+        counts,
+        [
+            ("requests", 34),
+            ("control_ops", 1),
+            ("responses_ok", 34),
+            ("responses_error", 0),
+            ("shed_overload", 0),
+            ("shed_budget", 0),
+            ("program_cache_hits", 32),
+            ("program_cache_misses", 2),
+            ("program_cache_evictions", 0),
+            ("session_pool_hits", 0),
+            ("session_pool_misses", 0),
+            ("warm_hits", 0),
+            ("updates", 0),
+            ("sessions_migrated", 0),
+            ("compile_dedup_waits", 0),
+        ]
+    );
+    assert_eq!(
+        counters.get("cache_hit_rate").and_then(Json::as_f64),
+        Some(32.0 / 34.0)
+    );
+    assert_eq!(
+        counters.get("pool_hit_rate").and_then(Json::as_f64),
+        Some(0.0)
+    );
     handle.shutdown();
 }
 
