@@ -117,19 +117,20 @@ pub type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
 type DetHashMap<K, V> = FxHashMap<K, V>;
 
-/// How many trailing nodes participate in a pattern's bucket hash.
+/// How many trailing nodes (and trailing argument-slab entries)
+/// participate in a pattern's bucket hash.
 const HASH_SUFFIX_NODES: usize = 12;
 
 /// Bucket hash for a pattern: arity, node count, and a bounded *suffix*
-/// of the node table. A suffix is enough — the hash only has to
-/// *distribute* (membership is always confirmed by full structural
-/// equality), so hashing the whole graph would spend O(n) on every
-/// consult for no correctness gain. The suffix is the right bound:
+/// of the node table and of the argument slab. A suffix is enough — the
+/// hash only has to *distribute* (membership is always confirmed by full
+/// structural equality), so hashing the whole graph would spend O(n) on
+/// every consult for no correctness gain. The suffix is the right bound:
 /// canonical numbering is pre-order, and the calling patterns that share
 /// a table (one predicate's call sites) share their argument skeleton
-/// and diverge in the deep leaves — the *end* of the node vector.
-/// Patterns that still collide merely share a bucket and pay an extra
-/// equality check.
+/// and diverge in the deep leaves — the *end* of both slabs. Patterns
+/// that still collide merely share a bucket and pay an extra equality
+/// check.
 fn pattern_hash(p: &Pattern) -> u64 {
     let mut h = FxHasher::default();
     h.write_usize(p.arity());
@@ -139,27 +140,37 @@ fn pattern_hash(p: &Pattern) -> u64 {
     for node in &nodes[tail..] {
         node.hash(&mut h);
     }
+    let args = p.arg_slab();
+    for &a in &args[args.len().saturating_sub(HASH_SUFFIX_NODES)..] {
+        h.write_u32(a);
+    }
     h.finish()
 }
 
-/// Estimated heap bytes held by a pattern's node and root vectors (what
-/// a deduplicated intern avoids keeping alive).
+/// Heap bytes held by a pattern's node and argument slabs (what a
+/// deduplicated intern avoids keeping alive).
 fn pattern_heap_bytes(p: &Pattern) -> u64 {
-    let nodes = std::mem::size_of_val(p.nodes());
-    let roots = p.arity() * std::mem::size_of::<usize>();
-    (nodes + roots) as u64
+    (std::mem::size_of_val(p.nodes()) + std::mem::size_of_val(p.arg_slab())) as u64
 }
+
+/// End of a bucket chain in [`PatternInterner::next`].
+const CHAIN_END: u32 = u32::MAX;
 
 /// A hash-consed arena of canonical patterns.
 ///
 /// Each distinct pattern is stored exactly once; the side index maps a
-/// pattern's hash to candidate arena slots, so the pattern bytes are
-/// never duplicated as map keys. Groundness is precomputed per slot.
+/// pattern's hash to the first arena slot of its bucket, and the rest of
+/// the bucket is chained through one `u32` per slot, in insertion order.
+/// So the pattern bytes are never duplicated as map keys, and a bucket
+/// costs no heap block of its own. Groundness is precomputed per slot.
 #[derive(Clone, Debug, Default)]
 pub struct PatternInterner {
     arena: Vec<Pattern>,
     ground: Vec<bool>,
-    index: DetHashMap<u64, Vec<u32>>,
+    /// Bucket hash → the bucket's first slot.
+    index: DetHashMap<u64, u32>,
+    /// Slot → the next slot of its bucket, or [`CHAIN_END`].
+    next: Vec<u32>,
 }
 
 impl PatternInterner {
@@ -192,43 +203,59 @@ impl PatternInterner {
     /// [`PatternInterner::intern`] with the bucket hash already computed
     /// (lets the session overlay hash a probe exactly once).
     fn intern_hashed(&mut self, hash: u64, pattern: Pattern) -> (PatternId, bool) {
-        let bucket = self.index.entry(hash).or_default();
-        for &slot in bucket.iter() {
-            if self.arena[slot as usize] == pattern {
-                return (PatternId(slot), true);
-            }
+        match self.probe(hash, &pattern) {
+            Ok(id) => (id, true),
+            Err(tail) => (self.insert(hash, tail, pattern), false),
         }
-        let slot = u32::try_from(self.arena.len()).expect("interner overflow");
-        bucket.push(slot);
-        self.ground.push(pattern.is_ground());
-        self.arena.push(pattern);
-        (PatternId(slot), false)
     }
 
     /// [`PatternInterner::intern_hashed`], clone-on-miss: the probe is by
     /// reference and the pattern is only cloned if it must be inserted.
     fn intern_ref_hashed(&mut self, hash: u64, pattern: &Pattern) -> (PatternId, bool) {
-        let bucket = self.index.entry(hash).or_default();
-        for &slot in bucket.iter() {
-            if self.arena[slot as usize] == *pattern {
-                return (PatternId(slot), true);
-            }
+        match self.probe(hash, pattern) {
+            Ok(id) => (id, true),
+            Err(tail) => (self.insert(hash, tail, pattern.clone()), false),
         }
-        let slot = u32::try_from(self.arena.len()).expect("interner overflow");
-        bucket.push(slot);
-        self.ground.push(pattern.is_ground());
-        self.arena.push(pattern.clone());
-        (PatternId(slot), false)
     }
 
     /// [`PatternInterner::lookup`] with the bucket hash already computed.
     fn lookup_hashed(&self, hash: u64, pattern: &Pattern) -> Option<PatternId> {
-        self.index.get(&hash).and_then(|bucket| {
-            bucket
-                .iter()
-                .find(|&&slot| &self.arena[slot as usize] == pattern)
-                .map(|&slot| PatternId(slot))
-        })
+        self.probe(hash, pattern).ok()
+    }
+
+    /// Walk `hash`'s bucket in insertion order: the slot holding
+    /// `pattern`, or else the bucket's last slot (`None`: no bucket yet).
+    fn probe(&self, hash: u64, pattern: &Pattern) -> Result<PatternId, Option<u32>> {
+        let Some(&first) = self.index.get(&hash) else {
+            return Err(None);
+        };
+        let mut slot = first;
+        loop {
+            if self.arena[slot as usize] == *pattern {
+                return Ok(PatternId(slot));
+            }
+            match self.next[slot as usize] {
+                CHAIN_END => return Err(Some(slot)),
+                next => slot = next,
+            }
+        }
+    }
+
+    /// Append `pattern` to the arena and to the end of its bucket, whose
+    /// last slot [`PatternInterner::probe`] returned as `tail`.
+    fn insert(&mut self, hash: u64, tail: Option<u32>, pattern: Pattern) -> PatternId {
+        let slot = u32::try_from(self.arena.len()).expect("interner overflow");
+        assert_ne!(slot, CHAIN_END, "interner overflow");
+        match tail {
+            Some(tail) => self.next[tail as usize] = slot,
+            None => {
+                self.index.insert(hash, slot);
+            }
+        }
+        self.next.push(CHAIN_END);
+        self.ground.push(pattern.is_ground());
+        self.arena.push(pattern);
+        PatternId(slot)
     }
 
     /// The pattern named by `id`.
@@ -244,6 +271,14 @@ impl PatternInterner {
     pub fn is_ground(&self, id: PatternId) -> bool {
         self.ground[id.index()]
     }
+
+    /// Drop the per-slot vectors' spare capacity (a no-op when nothing
+    /// was interned since the last call).
+    fn shrink_to_fit(&mut self) {
+        self.arena.shrink_to_fit();
+        self.ground.shrink_to_fit();
+        self.next.shrink_to_fit();
+    }
 }
 
 /// A session-private interner layered over a shared read-only base.
@@ -252,13 +287,14 @@ impl PatternInterner {
 /// `Arc`-shared base arena first, falls back to a private local arena
 /// whose ids are offset past the base, and memoizes `lub`/`leq` by id
 /// pair. No locks anywhere; clones of the `Arc` are the only sharing.
+/// It holds no per-run scratch: a structural lub borrows the caller's
+/// [`LubScratch`].
 #[derive(Clone, Debug)]
 pub struct SessionInterner {
     base: Arc<PatternInterner>,
     local: PatternInterner,
     lub_cache: DetHashMap<(PatternId, PatternId), PatternId>,
     leq_cache: DetHashMap<(PatternId, PatternId), bool>,
-    lub_scratch: LubScratch,
     stats: InternStats,
 }
 
@@ -269,18 +305,23 @@ impl Default for SessionInterner {
 }
 
 impl SessionInterner {
-    /// An overlay over `base` with an empty local arena and caches. The
-    /// memo caches are pre-sized past the benchmark suite's high-water
-    /// marks, so an analysis run never pays a mid-fixpoint rehash.
+    /// An overlay over `base` with an empty local arena and empty memo
+    /// caches. The caches grow with use: an analysis pays only for the
+    /// pairs it memoizes, and a parked session keeps no empty slots.
     pub fn new(base: Arc<PatternInterner>) -> SessionInterner {
         SessionInterner {
             base,
             local: PatternInterner::new(),
-            lub_cache: DetHashMap::with_capacity_and_hasher(512, Default::default()),
-            leq_cache: DetHashMap::with_capacity_and_hasher(1024, Default::default()),
-            lub_scratch: LubScratch::default(),
+            lub_cache: DetHashMap::default(),
+            leq_cache: DetHashMap::default(),
             stats: InternStats::default(),
         }
+    }
+
+    /// Drop the local arena's spare capacity: a parked session keeps
+    /// only the slots it fills.
+    pub fn shrink_to_fit(&mut self) {
+        self.local.shrink_to_fit();
     }
 
     /// The shared base arena this overlay reads through to.
@@ -389,7 +430,8 @@ impl SessionInterner {
     /// Memoized least upper bound: `a ⊔ b`, computed at most once per
     /// unordered id pair (lub is commutative, so `(a, b)` and `(b, a)`
     /// share a cache slot; `a ⊔ a = a` by idempotence without a lookup).
-    pub fn lub(&mut self, a: PatternId, b: PatternId) -> PatternId {
+    /// A cache miss joins the patterns through `scratch`.
+    pub fn lub(&mut self, a: PatternId, b: PatternId, scratch: &mut LubScratch) -> PatternId {
         self.stats.lub_calls += 1;
         if a == b {
             self.stats.lub_cache_hits += 1;
@@ -400,22 +442,19 @@ impl SessionInterner {
             self.stats.lub_cache_hits += 1;
             return id;
         }
-        // Cache miss: structural lub through the reusable scratch (taken
-        // and returned around the call so `resolve` can borrow the
-        // arenas). `lub_in` leaves the canonical join inside the scratch
-        // and `intern_ref` clones it only if the arena has never seen it,
-        // so a warm lub touches the allocator zero times.
-        let mut scratch = std::mem::take(&mut self.lub_scratch);
-        let joined = self.resolve(a).lub_in(self.resolve(b), &mut scratch);
+        // Cache miss: structural lub through the caller's scratch.
+        // `lub_in` leaves the canonical join inside the scratch and
+        // `intern_ref` clones it only if the arena has never seen it, so
+        // a warm lub touches the allocator zero times.
+        let joined = self.resolve(a).lub_in(self.resolve(b), scratch);
         let id = self.intern_ref(joined);
-        self.lub_scratch = scratch;
         self.lub_cache.insert(key, id);
         id
     }
 
     /// Memoized partial-order test: `a ⊑ b`. A miss computes through the
     /// lub cache (`a ⊑ b ⟺ a ⊔ b = b`), warming it for later joins.
-    pub fn leq(&mut self, a: PatternId, b: PatternId) -> bool {
+    pub fn leq(&mut self, a: PatternId, b: PatternId, scratch: &mut LubScratch) -> bool {
         self.stats.leq_calls += 1;
         if a == b {
             self.stats.leq_cache_hits += 1;
@@ -425,7 +464,7 @@ impl SessionInterner {
             self.stats.leq_cache_hits += 1;
             return ans;
         }
-        let ans = self.lub(a, b) == b;
+        let ans = self.lub(a, b, scratch) == b;
         self.leq_cache.insert((a, b), ans);
         ans
     }
@@ -483,24 +522,44 @@ mod tests {
     #[test]
     fn memoized_lub_and_leq_match_direct_computation() {
         let mut s = SessionInterner::default();
+        let scratch = &mut LubScratch::default();
         let a = s.intern(pat(&["atom", "var"]));
         let b = s.intern(pat(&["int", "var"]));
         let direct = pat(&["atom", "var"]).lub(&pat(&["int", "var"]));
-        let joined = s.lub(a, b);
+        let joined = s.lub(a, b, scratch);
         assert_eq!(s.resolve(joined), &direct);
         assert_eq!(s.stats().lub_calls, 1);
         assert_eq!(s.stats().lub_cache_hits, 0);
         // Commutative cache slot.
-        assert_eq!(s.lub(b, a), joined);
+        assert_eq!(s.lub(b, a, scratch), joined);
         assert_eq!(s.stats().lub_cache_hits, 1);
         // leq agrees with the direct order.
-        assert!(s.leq(a, joined));
-        assert!(!s.leq(joined, a));
-        assert!(s.leq(a, a));
+        assert!(s.leq(a, joined, scratch));
+        assert!(!s.leq(joined, a, scratch));
+        assert!(s.leq(a, a, scratch));
         // Cached on repeat.
         let hits = s.stats().leq_cache_hits;
-        assert!(s.leq(a, joined));
+        assert!(s.leq(a, joined, scratch));
         assert_eq!(s.stats().leq_cache_hits, hits + 1);
+    }
+
+    #[test]
+    fn colliding_patterns_chain_in_insertion_order() {
+        // Force every pattern into one bucket: ids stay dense and in
+        // insertion order, and each probe finds its own slot.
+        let mut i = PatternInterner::new();
+        let patterns = [pat(&["g"]), pat(&["var"]), pat(&["int"]), pat(&["atom"])];
+        for (n, p) in patterns.iter().enumerate() {
+            assert_eq!(i.intern_hashed(7, p.clone()), (PatternId(n as u32), false));
+        }
+        for (n, p) in patterns.iter().enumerate() {
+            assert_eq!(i.lookup_hashed(7, p), Some(PatternId(n as u32)));
+            assert_eq!(i.intern_ref_hashed(7, p), (PatternId(n as u32), true));
+        }
+        assert_eq!(i.lookup_hashed(7, &pat(&["any"])), None);
+        assert_eq!(i.lookup_hashed(8, &pat(&["g"])), None);
+        assert_eq!(i.index.len(), 1);
+        assert_eq!(i.next, [1, 2, 3, CHAIN_END]);
     }
 
     #[test]

@@ -30,7 +30,10 @@ pub mod weaken;
 
 pub use intern::{FxHashMap, PatternId, PatternInterner, SessionInterner};
 pub use leaf::AbsLeaf;
-pub use pattern::{dot_symbol, is_dot_symbol, nil_symbol, LubScratch, NodeId, PNode, Pattern};
+pub use pattern::{
+    dot_symbol, is_dot_symbol, nil_symbol, ArgSpan, LubScratch, NodeId, PNode, Pattern,
+    PatternBuilder,
+};
 pub use weaken::DomainConfig;
 
 /// The paper's term-depth restriction constant (§6): subterms at depth

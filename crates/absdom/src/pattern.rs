@@ -7,7 +7,8 @@
 //! machine-level form of the paper's "complete aliasing information".
 //!
 //! Patterns are kept **canonical** (nodes renumbered in first-visit DFS
-//! order, ground subgraphs unshared) so that structural equality is
+//! order, each struct's argument span reserved in that same order after
+//! the roots, ground subgraphs unshared) so that structural equality is
 //! pattern equality — the extension table keys on this.
 //!
 //! # The lub and aliasing
@@ -28,8 +29,43 @@ use std::fmt::{self, Write as _};
 /// Index of a node within its [`Pattern`].
 pub type NodeId = usize;
 
-/// One node of a pattern graph.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+/// Where a struct node's arguments sit in its pattern's argument slab
+/// (see [`Pattern::args`]).
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+pub struct ArgSpan {
+    start: u32,
+    len: u32,
+}
+
+impl ArgSpan {
+    /// Number of arguments (the functor's arity).
+    pub fn len(self) -> usize {
+        self.len as usize
+    }
+
+    /// Whether the struct has no arguments.
+    pub fn is_empty(self) -> bool {
+        self.len == 0
+    }
+
+    /// The slab index of argument `i`.
+    fn at(self, i: usize) -> usize {
+        assert!(i < self.len(), "argument {i} of a span of {}", self.len);
+        self.start as usize + i
+    }
+
+    fn range(self) -> std::ops::Range<usize> {
+        self.start as usize..self.start as usize + self.len as usize
+    }
+}
+
+/// A node id as the argument slab stores it.
+fn slot(id: NodeId) -> u32 {
+    u32::try_from(id).expect("pattern node id overflow")
+}
+
+/// One node of a pattern graph: a 16-byte `Copy` value.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum PNode {
     /// An instantiable simple abstract type.
     Leaf(AbsLeaf),
@@ -37,13 +73,19 @@ pub enum PNode {
     Int(i64),
     /// A specific atom.
     Atom(Symbol),
-    /// `struct(f/n, α₁…αₙ)`.
-    Struct(Symbol, Vec<NodeId>),
+    /// `struct(f/n, α₁…αₙ)`: the αᵢ are [`Pattern::args`] of the span.
+    Struct(Symbol, ArgSpan),
     /// `α-list` (the set of *proper* lists with elements of type α).
     List(NodeId),
 }
 
+const _: () = assert!(std::mem::size_of::<PNode>() == 16);
+
 /// A canonical abstract description of an argument tuple.
+///
+/// Two heap blocks hold it (none for the empty pattern): the node slab,
+/// and the argument slab, which starts with the roots and continues with
+/// every struct's arguments.
 ///
 /// # Examples
 ///
@@ -56,21 +98,78 @@ pub enum PNode {
 #[derive(Clone, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct Pattern {
     nodes: Vec<PNode>,
-    roots: Vec<NodeId>,
+    /// The `arity` roots, then each struct node's span, in node order.
+    args: Vec<u32>,
+    arity: usize,
+}
+
+/// A pattern graph under construction: nodes in any order, sharing as
+/// the edges say. [`Pattern::new`] canonicalizes it; builders that emit
+/// canonical form directly hand it to [`Pattern::from_canonical`].
+///
+/// A struct's argument span is reserved when its node is pushed
+/// ([`PatternBuilder::push_struct`]), so a builder that pushes nodes in
+/// pre-order from the roots lays the argument slab out canonically too.
+#[derive(Clone, Default, Debug)]
+pub struct PatternBuilder {
+    graph: Pattern,
+}
+
+impl PatternBuilder {
+    /// An empty graph of `arity` roots, each provisionally node 0.
+    pub fn new(arity: usize) -> PatternBuilder {
+        let mut builder = PatternBuilder::default();
+        builder.reset(arity);
+        builder
+    }
+
+    /// Clear the graph for `arity` roots, keeping the buffers.
+    pub fn reset(&mut self, arity: usize) {
+        self.graph.reset(arity);
+    }
+
+    /// Append `node`; returns its id.
+    pub fn push(&mut self, node: PNode) -> NodeId {
+        self.graph.push(node)
+    }
+
+    /// Append a struct node `f` with `arity` argument slots (each
+    /// provisionally node 0); returns its id and its span.
+    pub fn push_struct(&mut self, f: Symbol, arity: usize) -> (NodeId, ArgSpan) {
+        let span = self.graph.reserve_args(arity);
+        (self.graph.push(PNode::Struct(f, span)), span)
+    }
+
+    /// Replace node `id` (a placeholder pushed before its children).
+    /// A struct node keeps the span [`PatternBuilder::push_struct`] gave it.
+    pub fn set(&mut self, id: NodeId, node: PNode) {
+        self.graph.nodes[id] = node;
+    }
+
+    /// Point argument `i` of `span` at node `id`.
+    pub fn set_arg(&mut self, span: ArgSpan, i: usize, id: NodeId) {
+        self.graph.args[span.at(i)] = slot(id);
+    }
+
+    /// Point root `i` at node `id`.
+    pub fn set_root(&mut self, i: usize, id: NodeId) {
+        assert!(i < self.graph.arity, "root {i} of {}", self.graph.arity);
+        self.graph.args[i] = slot(id);
+    }
 }
 
 impl Pattern {
-    /// Build a pattern from raw parts and canonicalize it.
-    pub fn new(nodes: Vec<PNode>, roots: Vec<NodeId>) -> Pattern {
-        Pattern { nodes, roots }.canonicalize()
+    /// Canonicalize a built graph.
+    pub fn new(graph: PatternBuilder) -> Pattern {
+        graph.graph.canonicalize()
     }
 
-    /// Build a pattern from parts that are **already canonical**
-    /// (pre-order numbering from the roots, ground subgraphs unshared).
+    /// Take a graph that is **already canonical** (pre-order numbering
+    /// and argument spans from the roots, ground subgraphs unshared).
     /// The extractor in `awam-core` produces this form directly; in debug
     /// builds the invariant is checked.
-    pub fn from_canonical(nodes: Vec<PNode>, roots: Vec<NodeId>) -> Pattern {
-        let p = Pattern { nodes, roots };
+    pub fn from_canonical(graph: PatternBuilder) -> Pattern {
+        let p = graph.graph;
         debug_assert_eq!(
             p,
             p.canonicalize(),
@@ -79,28 +178,30 @@ impl Pattern {
         p
     }
 
-    /// Decompose into raw `(nodes, roots)` parts — the inverse of
-    /// [`Pattern::from_canonical`], so builders can recycle the buffers.
-    pub fn into_parts(self) -> (Vec<PNode>, Vec<NodeId>) {
-        (self.nodes, self.roots)
+    /// This pattern as a builder holding the same graph, so builders can
+    /// recycle its buffers or edit it in place.
+    pub fn into_builder(self) -> PatternBuilder {
+        PatternBuilder { graph: self }
     }
 
     /// The empty (zero-argument) pattern.
     pub fn empty() -> Pattern {
-        Pattern {
-            nodes: Vec::new(),
-            roots: Vec::new(),
-        }
+        Pattern::default()
     }
 
     /// Number of argument roots.
     pub fn arity(&self) -> usize {
-        self.roots.len()
+        self.arity
     }
 
     /// The root node of argument `i`.
     pub fn root(&self, i: usize) -> NodeId {
-        self.roots[i]
+        self.args[..self.arity][i] as NodeId
+    }
+
+    /// The root node of every argument.
+    pub fn roots(&self) -> impl ExactSizeIterator<Item = NodeId> + '_ {
+        self.args[..self.arity].iter().map(|&a| a as NodeId)
     }
 
     /// The node table.
@@ -113,26 +214,41 @@ impl Pattern {
         &self.nodes[id]
     }
 
+    /// The argument nodes of a struct node's span.
+    pub fn args(&self, span: ArgSpan) -> impl ExactSizeIterator<Item = NodeId> + '_ {
+        self.args[span.range()].iter().map(|&a| a as NodeId)
+    }
+
+    /// Argument `i` of a struct node's span.
+    pub fn arg(&self, span: ArgSpan, i: usize) -> NodeId {
+        self.args[span.at(i)] as NodeId
+    }
+
+    /// The argument slab: the roots, then every struct's arguments.
+    pub(crate) fn arg_slab(&self) -> &[u32] {
+        &self.args
+    }
+
     /// Whether every argument is ground.
     pub fn is_ground(&self) -> bool {
-        self.roots.iter().all(|&r| self.node_is_ground(r))
+        self.roots().all(|r| self.node_is_ground(r))
     }
 
     /// Whether the subgraph rooted at `id` denotes only ground terms.
     pub fn node_is_ground(&self, id: NodeId) -> bool {
-        match &self.nodes[id] {
+        match self.nodes[id] {
             PNode::Leaf(l) => l.is_ground(),
             PNode::Int(_) | PNode::Atom(_) => true,
-            PNode::Struct(_, args) => args.iter().all(|&a| self.node_is_ground(a)),
-            PNode::List(e) => self.node_is_ground(*e),
+            PNode::Struct(_, span) => self.args(span).all(|a| self.node_is_ground(a)),
+            PNode::List(e) => self.node_is_ground(e),
         }
     }
 
     /// The primary approximation (§4.2's `AbsType`) of the subgraph at
     /// `id`, ignoring sub-structure.
     pub fn leaf_approx(&self, id: NodeId) -> AbsLeaf {
-        match &self.nodes[id] {
-            PNode::Leaf(l) => *l,
+        match self.nodes[id] {
+            PNode::Leaf(l) => l,
             PNode::Int(_) => AbsLeaf::Integer,
             PNode::Atom(_) => AbsLeaf::Atom,
             PNode::Struct(..) | PNode::List(_) => {
@@ -145,87 +261,83 @@ impl Pattern {
         }
     }
 
-    // ----- canonicalization -----
+    // ----- building -----
 
-    /// Renumber nodes in first-visit DFS order from the roots; ground
-    /// subgraphs are duplicated per occurrence (sharing of ground terms
-    /// carries no dataflow information, and unsharing them is a sound
-    /// over-approximation that improves extension-table reuse).
-    fn canonicalize(&self) -> Pattern {
-        self.canonicalize_with(&mut Vec::new())
+    /// Clear to an empty graph of `arity` roots, each provisionally 0.
+    fn reset(&mut self, arity: usize) {
+        self.nodes.clear();
+        self.args.clear();
+        self.args.resize(arity, 0);
+        self.arity = arity;
     }
 
-    /// [`Pattern::canonicalize`] with a caller-provided renumbering map
-    /// (cleared and resized here), so hot callers reuse one allocation.
-    fn canonicalize_with(&self, map: &mut Vec<Option<NodeId>>) -> Pattern {
+    fn push(&mut self, node: PNode) -> NodeId {
+        self.nodes.push(node);
+        self.nodes.len() - 1
+    }
+
+    /// Reserve `len` argument slots (each provisionally node 0).
+    fn reserve_args(&mut self, len: usize) -> ArgSpan {
+        let span = ArgSpan {
+            start: u32::try_from(self.args.len()).expect("argument slab overflow"),
+            len: u32::try_from(len).expect("struct arity overflow"),
+        };
+        self.args.resize(self.args.len() + len, 0);
+        span
+    }
+
+    // ----- canonicalization -----
+
+    /// Renumber nodes in first-visit DFS order from the roots, reserving
+    /// each struct's span as its node is numbered; ground subgraphs are
+    /// duplicated per occurrence (sharing of ground terms carries no
+    /// dataflow information, and unsharing them is a sound
+    /// over-approximation that improves extension-table reuse).
+    fn canonicalize(&self) -> Pattern {
         let mut out = Pattern::empty();
-        self.canonicalize_into(map, &mut out, &mut Vec::new());
+        self.canonicalize_into(&mut Vec::new(), &mut out);
         out
     }
 
-    /// [`Pattern::canonicalize_with`] writing into an existing pattern
-    /// (cleared first, its struct argument vectors harvested into
-    /// `args_pool` and reissued), so the output buffers are reusable too.
-    fn canonicalize_into(
-        &self,
-        map: &mut Vec<Option<NodeId>>,
-        out: &mut Pattern,
-        args_pool: &mut Vec<Vec<NodeId>>,
-    ) {
-        for node in out.nodes.drain(..) {
-            if args_pool.len() == ARGS_POOL_CAP {
-                break;
-            }
-            if let PNode::Struct(_, mut args) = node {
-                args.clear();
-                args_pool.push(args);
-            }
-        }
-        out.nodes.clear();
-        out.roots.clear();
+    /// [`Pattern::canonicalize`] into `out` (cleared first) through a
+    /// caller-provided renumbering map, so hot callers reuse both.
+    fn canonicalize_into(&self, map: &mut Vec<Option<NodeId>>, out: &mut Pattern) {
+        out.reset(self.arity);
         map.clear();
         map.resize(self.nodes.len(), None);
-        for i in 0..self.roots.len() {
-            let new = self.canon_node(self.roots[i], map, out, args_pool);
-            out.roots.push(new);
+        for i in 0..self.arity {
+            out.args[i] = slot(self.canon_node(self.args[i] as NodeId, map, out));
         }
     }
 
-    fn canon_node(
-        &self,
-        id: NodeId,
-        map: &mut Vec<Option<NodeId>>,
-        out: &mut Pattern,
-        args_pool: &mut Vec<Vec<NodeId>>,
-    ) -> NodeId {
+    fn canon_node(&self, id: NodeId, map: &mut [Option<NodeId>], out: &mut Pattern) -> NodeId {
         let shareable = !self.node_is_ground(id);
         if shareable {
             if let Some(new) = map[id] {
                 return new;
             }
         }
-        // Reserve the slot first so children come after their parent
-        // (pre-order numbering) and cycles cannot recurse forever.
-        let new = out.nodes.len();
-        out.nodes.push(PNode::Leaf(AbsLeaf::Any)); // placeholder
+        // Number the node (and reserve its span) before its children:
+        // pre-order numbering, and cycles cannot recurse forever.
+        let node = self.nodes[id];
+        let numbered = match node {
+            PNode::Struct(f, span) => PNode::Struct(f, out.reserve_args(span.len())),
+            _ => node,
+        };
+        let new = out.push(numbered);
         if shareable {
             map[id] = Some(new);
         }
-        let node = match &self.nodes[id] {
-            PNode::Leaf(l) => PNode::Leaf(*l),
-            PNode::Int(i) => PNode::Int(*i),
-            PNode::Atom(a) => PNode::Atom(*a),
-            PNode::Struct(f, args) => {
-                let mut new_args = args_pool.pop().unwrap_or_default();
-                for &a in args {
-                    let child = self.canon_node(a, map, out, args_pool);
-                    new_args.push(child);
+        match (node, numbered) {
+            (PNode::Struct(_, span), PNode::Struct(_, new_span)) => {
+                for i in 0..span.len() {
+                    let child = self.canon_node(self.arg(span, i), map, out);
+                    out.args[new_span.at(i)] = slot(child);
                 }
-                PNode::Struct(*f, new_args)
             }
-            PNode::List(e) => PNode::List(self.canon_node(*e, map, out, args_pool)),
-        };
-        out.nodes[new] = node;
+            (PNode::List(e), _) => out.nodes[new] = PNode::List(self.canon_node(e, map, out)),
+            _ => {}
+        }
         new
     }
 
@@ -252,7 +364,11 @@ impl Pattern {
     /// Panics if the arities differ, like [`Pattern::lub`].
     pub fn lub_with(&self, other: &Pattern, scratch: &mut LubScratch) -> Pattern {
         self.lub_core(other, scratch);
-        scratch.out.canonicalize_with(&mut scratch.canon_map)
+        let mut out = Pattern::empty();
+        scratch
+            .out
+            .canonicalize_into(&mut scratch.canon_map, &mut out);
+        out
     }
 
     /// [`Pattern::lub_with`], but the canonical result is left inside the
@@ -265,11 +381,9 @@ impl Pattern {
     /// Panics if the arities differ, like [`Pattern::lub`].
     pub fn lub_in<'s>(&self, other: &Pattern, scratch: &'s mut LubScratch) -> &'s Pattern {
         self.lub_core(other, scratch);
-        scratch.out.canonicalize_into(
-            &mut scratch.canon_map,
-            &mut scratch.canon_out,
-            &mut scratch.args_pool,
-        );
+        scratch
+            .out
+            .canonicalize_into(&mut scratch.canon_map, &mut scratch.canon_out);
         &scratch.canon_out
     }
 
@@ -277,17 +391,17 @@ impl Pattern {
     /// the pre-canonical join into `scratch.out`.
     fn lub_core(&self, other: &Pattern, scratch: &mut LubScratch) {
         assert_eq!(self.arity(), other.arity(), "lub of mismatched arities");
-        scratch.reset(self.nodes.len(), other.nodes.len());
+        scratch.reset(self.nodes.len(), other.nodes.len(), self.arity);
         let mut ctx = LubCtx {
             sides: [self, other],
             s: scratch,
         };
         for i in 0..self.arity() {
             let mut group = ctx.s.take_group();
-            group.push((0, self.roots[i]));
-            group.push((1, other.roots[i]));
+            group.push((0, self.root(i)));
+            group.push((1, other.root(i)));
             let root = ctx.lub_group(group);
-            ctx.s.out.roots.push(root);
+            ctx.s.out.args[i] = slot(root);
         }
         // Aliasing-drop weakening: a source node that participated in more
         // than one distinct group lost (some of) its sharing; `var` leaves
@@ -338,10 +452,9 @@ impl Pattern {
         }
         let refs = self.in_degrees();
         let mut seen: HashMap<NodeId, Term> = HashMap::new();
-        self.roots
-            .iter()
+        self.roots()
             .zip(args)
-            .all(|(&r, t)| self.covers_node(r, t, &refs, &mut seen))
+            .all(|(r, t)| self.covers_node(r, t, &refs, &mut seen))
     }
 
     fn covers_node(
@@ -361,18 +474,18 @@ impl Pattern {
                 seen.insert(id, term.clone());
             }
         }
-        match &self.nodes[id] {
-            PNode::Leaf(l) => leaf_covers(*l, term),
-            PNode::Int(i) => matches!(term, Term::Int(j) if j == i),
-            PNode::Atom(a) => matches!(term, Term::Atom(b) if b == a),
-            PNode::Struct(f, nodes) => match term {
-                Term::Struct(g, args) if g == f && args.len() == nodes.len() => nodes
-                    .iter()
+        match self.nodes[id] {
+            PNode::Leaf(l) => leaf_covers(l, term),
+            PNode::Int(i) => matches!(term, Term::Int(j) if *j == i),
+            PNode::Atom(a) => matches!(term, Term::Atom(b) if *b == a),
+            PNode::Struct(f, span) => match term {
+                Term::Struct(g, args) if *g == f && args.len() == span.len() => self
+                    .args(span)
                     .zip(args)
-                    .all(|(&n, a)| self.covers_node(n, a, refs, seen)),
+                    .all(|(n, a)| self.covers_node(n, a, refs, seen)),
                 _ => false,
             },
-            PNode::List(e) => self.covers_list(*e, term, refs, seen),
+            PNode::List(e) => self.covers_list(e, term, refs, seen),
         }
     }
 
@@ -403,22 +516,17 @@ impl Pattern {
         }
     }
 
-    /// How many references each node has: in-edges from every node plus
-    /// root occurrences. A node with more than one is definitely shared.
-    fn in_degrees(&self) -> Vec<u32> {
+    /// How many references each node has: root occurrences, struct
+    /// arguments (together, the whole argument slab) and list elements.
+    /// A node with more than one is definitely shared.
+    pub(crate) fn in_degrees(&self) -> Vec<u32> {
         let mut refs = vec![0u32; self.nodes.len()];
-        for &r in &self.roots {
-            refs[r] += 1;
+        for &a in &self.args {
+            refs[a as NodeId] += 1;
         }
         for node in &self.nodes {
-            match node {
-                PNode::Struct(_, args) => {
-                    for &a in args {
-                        refs[a] += 1;
-                    }
-                }
-                PNode::List(e) => refs[*e] += 1,
-                _ => {}
+            if let PNode::List(e) = *node {
+                refs[e] += 1;
             }
         }
         refs
@@ -434,13 +542,12 @@ impl Pattern {
     ///
     /// Returns `None` on an unrecognized spec.
     pub fn from_spec(specs: &[&str]) -> Option<Pattern> {
-        let mut nodes = Vec::new();
-        let mut roots = Vec::new();
-        for spec in specs {
-            let id = parse_spec(spec.trim(), &mut nodes)?;
-            roots.push(id);
+        let mut graph = PatternBuilder::new(specs.len());
+        for (i, spec) in specs.iter().enumerate() {
+            let id = parse_spec(spec.trim(), &mut graph)?;
+            graph.set_root(i, id);
         }
-        Some(Pattern::new(nodes, roots))
+        Some(Pattern::new(graph))
     }
 
     /// Render with `interner` for atom names; shared nodes print as
@@ -466,7 +573,7 @@ impl Pattern {
     ) {
         let mut printer = Printer::new(self, interner);
         out.push('(');
-        for (i, &r) in self.roots.iter().enumerate() {
+        for (i, r) in self.roots().enumerate() {
             if i > 0 {
                 out.push_str(", ");
             }
@@ -480,12 +587,12 @@ impl Pattern {
     }
 
     fn symbols_in_range(&self, id: NodeId, len: usize) -> bool {
-        match &self.nodes[id] {
+        match self.nodes[id] {
             PNode::Atom(a) => a.index() < len,
-            PNode::Struct(f, args) => {
-                f.index() < len && args.iter().all(|&a| self.symbols_in_range(a, len))
+            PNode::Struct(f, span) => {
+                f.index() < len && self.args(span).all(|a| self.symbols_in_range(a, len))
             }
-            PNode::List(e) => self.symbols_in_range(*e, len),
+            PNode::List(e) => self.symbols_in_range(e, len),
             _ => true,
         }
     }
@@ -548,24 +655,24 @@ impl<'a> Printer<'a> {
             }
         }
         let pattern = self.pattern;
-        match &pattern.nodes[id] {
+        match pattern.nodes[id] {
             PNode::Leaf(l) => out.push_str(l.name()),
             PNode::Int(i) => {
                 let _ = write!(out, "{i}");
             }
-            PNode::Atom(a) => out.push_str(self.interner.resolve(*a)),
-            PNode::Struct(f, args) => {
-                let name = self.interner.resolve(*f);
-                if name == "." && args.len() == 2 {
+            PNode::Atom(a) => out.push_str(self.interner.resolve(a)),
+            PNode::Struct(f, span) => {
+                let name = self.interner.resolve(f);
+                if name == "." && span.len() == 2 {
                     out.push('[');
-                    self.node(args[0], out);
+                    self.node(pattern.arg(span, 0), out);
                     out.push('|');
-                    self.node(args[1], out);
+                    self.node(pattern.arg(span, 1), out);
                     out.push(']');
                 } else {
                     out.push_str(name);
                     out.push('(');
-                    for (i, &a) in args.iter().enumerate() {
+                    for (i, a) in pattern.args(span).enumerate() {
                         if i > 0 {
                             out.push_str(", ");
                         }
@@ -577,17 +684,17 @@ impl<'a> Printer<'a> {
             // `list(g)` abbreviates to `glist` whenever the element prints
             // as `g`: an unshared ground leaf, or an atom named `g`.
             PNode::List(e) => {
-                let prints_g = self.marks[*e] == UNSHARED
-                    && match &pattern.nodes[*e] {
-                        PNode::Leaf(l) => *l == AbsLeaf::Ground,
-                        PNode::Atom(a) => self.interner.resolve(*a) == "g",
+                let prints_g = self.marks[e] == UNSHARED
+                    && match pattern.nodes[e] {
+                        PNode::Leaf(l) => l == AbsLeaf::Ground,
+                        PNode::Atom(a) => self.interner.resolve(a) == "g",
                         _ => false,
                     };
                 if prints_g {
                     out.push_str("glist");
                 } else {
                     out.push_str("list(");
-                    self.node(*e, out);
+                    self.node(e, out);
                     out.push(')');
                 }
             }
@@ -599,6 +706,9 @@ impl<'a> Printer<'a> {
 /// through except the returned canonical pattern itself. Freed group
 /// vectors are pooled and handed back out, so a warm scratch performs no
 /// allocation at all on patterns it has seen the shape of before.
+///
+/// A scratch belongs to one run (the abstract machine owns one per
+/// fixpoint); nothing that outlives the run keeps it.
 #[derive(Clone, Debug, Default)]
 pub struct LubScratch {
     /// Group → result node; groups are tiny, linear search wins. Entry
@@ -616,9 +726,6 @@ pub struct LubScratch {
     canon_map: Vec<Option<NodeId>>,
     /// The canonical result of the last [`Pattern::lub_in`].
     canon_out: Pattern,
-    /// Retired struct-argument vectors, reissued to new struct nodes in
-    /// both the join and canonicalization passes.
-    args_pool: Vec<Vec<NodeId>>,
     /// Group-hash → first memo index with that hash, so a group lookup
     /// probes once instead of scanning the whole memo (which is quadratic
     /// on large patterns). Cleared (capacity kept) per join.
@@ -628,13 +735,10 @@ pub struct LubScratch {
     group_overflow: Vec<(u64, u32)>,
 }
 
-/// Upper bound on pooled struct-argument vectors (a backstop so one huge
-/// pattern cannot pin memory; typical patterns stay far below).
-const ARGS_POOL_CAP: usize = 4096;
-
 impl LubScratch {
-    /// Prepare for a lub of two patterns with the given node counts.
-    fn reset(&mut self, left_nodes: usize, right_nodes: usize) {
+    /// Prepare for a lub of two patterns with the given node counts and
+    /// `arity` roots.
+    fn reset(&mut self, left_nodes: usize, right_nodes: usize, arity: usize) {
         for (group, _) in self.memo.drain(..) {
             self.pool.push(group);
         }
@@ -642,17 +746,7 @@ impl LubScratch {
             self.occurrences[side].clear();
             self.occurrences[side].resize(len, 0);
         }
-        for node in self.out.nodes.drain(..) {
-            if self.args_pool.len() == ARGS_POOL_CAP {
-                break;
-            }
-            if let PNode::Struct(_, mut args) = node {
-                args.clear();
-                self.args_pool.push(args);
-            }
-        }
-        self.out.nodes.clear();
-        self.out.roots.clear();
+        self.out.reset(arity);
         self.group_index.clear();
         self.group_overflow.clear();
     }
@@ -685,11 +779,6 @@ impl LubScratch {
                 self.group_overflow.push((hash, memo_idx));
             }
         }
-    }
-
-    /// An empty struct-argument vector, recycled when available.
-    fn take_args(&mut self) -> Vec<NodeId> {
-        self.args_pool.pop().unwrap_or_default()
     }
 
     /// Hash of a (sorted, deduped) group, for the memo bucket index.
@@ -736,8 +825,7 @@ impl LubCtx<'_> {
             return id;
         }
         // Reserve result slot (guards against cycles, preserves sharing).
-        let result = self.s.out.nodes.len();
-        self.s.out.nodes.push(PNode::Leaf(AbsLeaf::Any));
+        let result = self.s.out.push(PNode::Leaf(AbsLeaf::Any));
         for &(side, n) in &group {
             self.s.occurrences[side][n] = self.s.occurrences[side][n].saturating_add(1);
         }
@@ -755,41 +843,40 @@ impl LubCtx<'_> {
         let group_len = self.s.memo[result].0.len();
         let view = |ctx: &Self, i: usize| {
             let (side, n) = ctx.s.memo[result].0[i];
-            ctx.sides[side].node(n)
+            *ctx.sides[side].node(n)
         };
 
         // All identical integers / atoms.
         if let PNode::Int(i) = view(self, 0) {
-            let i = *i;
-            if (0..group_len).all(|k| matches!(view(self, k), PNode::Int(j) if *j == i)) {
+            if (0..group_len).all(|k| view(self, k) == PNode::Int(i)) {
                 return PNode::Int(i);
             }
         }
         if let PNode::Atom(a) = view(self, 0) {
-            let a = *a;
-            if (0..group_len).all(|k| matches!(view(self, k), PNode::Atom(b) if *b == a)) {
+            if (0..group_len).all(|k| view(self, k) == PNode::Atom(a)) {
                 return PNode::Atom(a);
             }
         }
         // All structs with the same functor (including cons/cons).
-        if let PNode::Struct(f, args0) = view(self, 0) {
-            let (f, arity) = (*f, args0.len());
-            if (0..group_len).all(
-                |k| matches!(view(self, k), PNode::Struct(g, a) if *g == f && a.len() == arity),
-            ) {
-                let mut children = self.s.take_args();
+        if let PNode::Struct(f, span0) = view(self, 0) {
+            let arity = span0.len();
+            if (0..group_len)
+                .all(|k| matches!(view(self, k), PNode::Struct(g, s) if g == f && s.len() == arity))
+            {
+                let span = self.s.out.reserve_args(arity);
                 for i in 0..arity {
                     let mut child_group = self.s.take_group();
                     for k in 0..group_len {
                         let (side, n) = self.s.memo[result].0[k];
-                        let PNode::Struct(_, args) = self.sides[side].node(n) else {
+                        let PNode::Struct(_, s) = *self.sides[side].node(n) else {
                             unreachable!()
                         };
-                        child_group.push((side, args[i]));
+                        child_group.push((side, self.sides[side].arg(s, i)));
                     }
-                    children.push(self.lub_group(child_group));
+                    let child = self.lub_group(child_group);
+                    self.s.out.args[span.at(i)] = slot(child);
                 }
-                return PNode::Struct(f, children);
+                return PNode::Struct(f, span);
             }
         }
         // All list-shaped (List / nil / cons chains) → α-list.
@@ -838,15 +925,16 @@ impl LubCtx<'_> {
         if depth > 64 {
             return None;
         }
-        match self.sides[side].node(node) {
+        let pattern = self.sides[side];
+        match *pattern.node(node) {
             PNode::List(e) => {
-                elems.push((side, *e));
+                elems.push((side, e));
                 Some(())
             }
-            PNode::Atom(a) if *a == nil_symbol() => Some(()),
-            PNode::Struct(f, args) if is_dot_symbol(*f) && args.len() == 2 => {
-                elems.push((side, args[0]));
-                self.collect_list_elems(side, args[1], elems, depth + 1)
+            PNode::Atom(a) if a == nil_symbol() => Some(()),
+            PNode::Struct(f, span) if is_dot_symbol(f) && span.len() == 2 => {
+                elems.push((side, pattern.arg(span, 0)));
+                self.collect_list_elems(side, pattern.arg(span, 1), elems, depth + 1)
             }
             _ => None,
         }
@@ -896,13 +984,9 @@ fn is_nil_atom(term: &Term) -> bool {
     matches!(term, Term::Atom(a) if *a == nil_symbol())
 }
 
-fn parse_spec(spec: &str, nodes: &mut Vec<PNode>) -> Option<NodeId> {
-    let push = |nodes: &mut Vec<PNode>, n: PNode| {
-        nodes.push(n);
-        nodes.len() - 1
-    };
+fn parse_spec(spec: &str, graph: &mut PatternBuilder) -> Option<NodeId> {
     if let Ok(i) = spec.parse::<i64>() {
-        return Some(push(nodes, PNode::Int(i)));
+        return Some(graph.push(PNode::Int(i)));
     }
     let leaf = match spec {
         "any" => Some(AbsLeaf::Any),
@@ -915,22 +999,22 @@ fn parse_spec(spec: &str, nodes: &mut Vec<PNode>) -> Option<NodeId> {
         _ => None,
     };
     if let Some(l) = leaf {
-        return Some(push(nodes, PNode::Leaf(l)));
+        return Some(graph.push(PNode::Leaf(l)));
     }
     match spec {
         "glist" => {
-            let e = push(nodes, PNode::Leaf(AbsLeaf::Ground));
-            Some(push(nodes, PNode::List(e)))
+            let e = graph.push(PNode::Leaf(AbsLeaf::Ground));
+            Some(graph.push(PNode::List(e)))
         }
         "ilist" => {
-            let e = push(nodes, PNode::Leaf(AbsLeaf::Integer));
-            Some(push(nodes, PNode::List(e)))
+            let e = graph.push(PNode::Leaf(AbsLeaf::Integer));
+            Some(graph.push(PNode::List(e)))
         }
-        "nil" | "[]" => Some(push(nodes, PNode::Atom(nil_symbol()))),
+        "nil" | "[]" => Some(graph.push(PNode::Atom(nil_symbol()))),
         _ => {
             let inner = spec.strip_prefix("list(")?.strip_suffix(')')?;
-            let e = parse_spec(inner, nodes)?;
-            Some(push(nodes, PNode::List(e)))
+            let e = parse_spec(inner, graph)?;
+            Some(graph.push(PNode::List(e)))
         }
     }
 }
@@ -948,6 +1032,18 @@ mod tests {
         parse_term(src).unwrap().0
     }
 
+    /// A pattern from a struct-free graph and its roots.
+    fn graph(nodes: &[PNode], roots: &[NodeId]) -> Pattern {
+        let mut b = PatternBuilder::new(roots.len());
+        for &node in nodes {
+            b.push(node);
+        }
+        for (i, &r) in roots.iter().enumerate() {
+            b.set_root(i, r);
+        }
+        Pattern::new(b)
+    }
+
     #[test]
     fn spec_parsing_and_equality() {
         assert_eq!(spec(&["glist"]), spec(&["list(g)"]));
@@ -960,26 +1056,61 @@ mod tests {
     #[test]
     fn canonical_equality_is_structural() {
         // Build the same shape with scrambled node order.
-        let a = Pattern::new(vec![PNode::Leaf(AbsLeaf::Ground), PNode::List(0)], vec![1]);
-        let b = Pattern::new(
-            vec![
+        let a = graph(&[PNode::Leaf(AbsLeaf::Ground), PNode::List(0)], &[1]);
+        let b = graph(
+            &[
                 PNode::List(2),
                 PNode::Leaf(AbsLeaf::Atom),
                 PNode::Leaf(AbsLeaf::Ground),
             ],
-            vec![0],
+            &[0],
         );
         assert_eq!(a, b);
     }
 
     #[test]
+    fn argument_spans_follow_the_roots_in_pre_order() {
+        // (f(X, [X|g]), X) built children-first, with X shared.
+        let mut interner = Interner::new();
+        let f = interner.intern("f");
+        let dot = interner.dot();
+        let mut b = PatternBuilder::new(2);
+        let x = b.push(PNode::Leaf(AbsLeaf::Var));
+        let g = b.push(PNode::Leaf(AbsLeaf::Ground));
+        let (cons, cons_args) = b.push_struct(dot, 2);
+        b.set_arg(cons_args, 0, x);
+        b.set_arg(cons_args, 1, g);
+        let (s, s_args) = b.push_struct(f, 2);
+        b.set_arg(s_args, 0, x);
+        b.set_arg(s_args, 1, cons);
+        b.set_root(0, s);
+        b.set_root(1, x);
+        let p = Pattern::new(b);
+        // Pre-order: f(…) = 0, X = 1, [X|g] = 2, g = 3; the slab holds
+        // the roots, then f's span, then the cons cell's.
+        assert_eq!(p.roots().collect::<Vec<_>>(), [0, 1]);
+        let PNode::Struct(_, span) = *p.node(0) else {
+            panic!("root 0 is f(…)")
+        };
+        assert_eq!(p.args(span).collect::<Vec<_>>(), [1, 2]);
+        let PNode::Struct(_, span) = *p.node(2) else {
+            panic!("node 2 is the cons cell")
+        };
+        assert_eq!(p.args(span).collect::<Vec<_>>(), [1, 3]);
+        assert_eq!(p.arg_slab(), &[0, 1, 1, 2, 1, 3]);
+        assert_eq!(p.display(&interner), "(f(#0=var, [#0|g]), #0)");
+        // Canonical form is a fixpoint, so `from_canonical` accepts it.
+        assert_eq!(Pattern::from_canonical(p.clone().into_builder()), p);
+    }
+
+    #[test]
     fn sharing_is_part_of_identity() {
         // (var, var) unshared vs (X, X) shared.
-        let unshared = Pattern::new(
-            vec![PNode::Leaf(AbsLeaf::Var), PNode::Leaf(AbsLeaf::Var)],
-            vec![0, 1],
+        let unshared = graph(
+            &[PNode::Leaf(AbsLeaf::Var), PNode::Leaf(AbsLeaf::Var)],
+            &[0, 1],
         );
-        let shared = Pattern::new(vec![PNode::Leaf(AbsLeaf::Var)], vec![0, 0]);
+        let shared = graph(&[PNode::Leaf(AbsLeaf::Var)], &[0, 0]);
         assert_ne!(unshared, shared);
     }
 
@@ -1011,42 +1142,45 @@ mod tests {
         );
         assert_eq!(spec(&["glist"]).lub(&spec(&["nil"])), spec(&["glist"]));
         // list vs non-list struct falls back to a leaf.
-        let mut nodes = Vec::new();
-        let a = nodes.len();
-        nodes.push(PNode::Leaf(AbsLeaf::Ground));
         let f = prolog_syntax::Interner::new().intern("f");
-        let s = PNode::Struct(f, vec![a]);
-        nodes.push(s);
-        let strct = Pattern::new(nodes, vec![1]);
+        let mut b = PatternBuilder::new(1);
+        let (s, args) = b.push_struct(f, 1);
+        let a = b.push(PNode::Leaf(AbsLeaf::Ground));
+        b.set_arg(args, 0, a);
+        b.set_root(0, s);
+        let strct = Pattern::new(b);
         assert_eq!(spec(&["glist"]).lub(&strct), spec(&["g"]));
     }
 
     #[test]
     fn lub_cons_with_list_summarizes() {
         // [g|glist] ⊔ glist = glist
-        let mut nodes = Vec::new();
-        nodes.push(PNode::Leaf(AbsLeaf::Ground)); // 0: g (car)
-        nodes.push(PNode::Leaf(AbsLeaf::Ground)); // 1: g (list elem)
-        nodes.push(PNode::List(1)); // 2: glist (cdr)
         let dot = prolog_syntax::Interner::new().dot();
-        nodes.push(PNode::Struct(dot, vec![0, 2])); // 3: [g|glist]
-        let cons = Pattern::new(nodes, vec![3]);
+        let mut b = PatternBuilder::new(1);
+        let car = b.push(PNode::Leaf(AbsLeaf::Ground));
+        let elem = b.push(PNode::Leaf(AbsLeaf::Ground));
+        let cdr = b.push(PNode::List(elem));
+        let (cons, args) = b.push_struct(dot, 2);
+        b.set_arg(args, 0, car);
+        b.set_arg(args, 1, cdr);
+        b.set_root(0, cons);
+        let cons = Pattern::new(b);
         assert_eq!(cons.lub(&spec(&["glist"])), spec(&["glist"]));
     }
 
     #[test]
     fn lub_keeps_sharing_present_on_both_sides() {
-        let shared = Pattern::new(vec![PNode::Leaf(AbsLeaf::Var)], vec![0, 0]);
+        let shared = graph(&[PNode::Leaf(AbsLeaf::Var)], &[0, 0]);
         let joined = shared.lub(&shared);
         assert_eq!(joined, shared);
     }
 
     #[test]
     fn lub_drops_one_sided_sharing_and_weakens_var() {
-        let shared = Pattern::new(vec![PNode::Leaf(AbsLeaf::Var)], vec![0, 0]);
-        let unshared = Pattern::new(
-            vec![PNode::Leaf(AbsLeaf::Var), PNode::Leaf(AbsLeaf::Var)],
-            vec![0, 1],
+        let shared = graph(&[PNode::Leaf(AbsLeaf::Var)], &[0, 0]);
+        let unshared = graph(
+            &[PNode::Leaf(AbsLeaf::Var), PNode::Leaf(AbsLeaf::Var)],
+            &[0, 1],
         );
         let joined = shared.lub(&unshared);
         // Sharing dropped, and var weakened to any (the dropped alias may
@@ -1061,7 +1195,7 @@ mod tests {
             spec(&["glist", "g"]),
             spec(&["atom", "int"]),
             spec(&["nv", "list(any)"]),
-            Pattern::new(vec![PNode::Leaf(AbsLeaf::Var)], vec![0, 0]),
+            graph(&[PNode::Leaf(AbsLeaf::Var)], &[0, 0]),
         ];
         for p in &samples {
             for q in &samples {
@@ -1106,7 +1240,7 @@ mod tests {
 
     #[test]
     fn covers_respects_sharing() {
-        let shared = Pattern::new(vec![PNode::Leaf(AbsLeaf::Any)], vec![0, 0]);
+        let shared = graph(&[PNode::Leaf(AbsLeaf::Any)], &[0, 0]);
         // Parse both argument terms together so they share one interner.
         let Term::Struct(_, args) = term("pair(f(a), f(a), g(b))") else {
             panic!()
@@ -1119,15 +1253,14 @@ mod tests {
     fn display_formats() {
         let interner = Interner::new();
         assert_eq!(spec(&["glist", "var"]).display(&interner), "(glist, var)");
-        let shared = Pattern::new(vec![PNode::Leaf(AbsLeaf::Var)], vec![0, 0]);
+        let shared = graph(&[PNode::Leaf(AbsLeaf::Var)], &[0, 0]);
         assert_eq!(shared.display(&interner), "(#0=var, #0)");
     }
 
     #[test]
     fn ground_subgraphs_are_unshared_by_canonicalization() {
         // Two roots sharing one ground list node → duplicated.
-        let nodes = vec![PNode::Leaf(AbsLeaf::Ground), PNode::List(0)];
-        let p = Pattern::new(nodes, vec![1, 1]);
+        let p = graph(&[PNode::Leaf(AbsLeaf::Ground), PNode::List(0)], &[1, 1]);
         assert_eq!(p, spec(&["glist", "glist"]));
     }
 }

@@ -9,7 +9,7 @@
 //! boundary, so the precision each feature buys can be measured.
 
 use crate::leaf::AbsLeaf;
-use crate::pattern::{PNode, Pattern};
+use crate::pattern::{PNode, Pattern, PatternBuilder};
 
 /// Which components of the abstract domain are enabled.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -51,37 +51,24 @@ impl Pattern {
         if config.is_full() {
             return self.clone();
         }
-        let mut out_nodes: Vec<PNode> = Vec::new();
+        let mut out = PatternBuilder::new(self.arity());
         // Count references so dropped sharing can weaken `var` soundly.
-        let mut refs = vec![0usize; self.nodes().len()];
-        for i in 0..self.arity() {
-            refs[self.root(i)] += 1;
-        }
-        for node in self.nodes() {
-            match node {
-                PNode::Struct(_, args) => {
-                    for &a in args {
-                        refs[a] += 1;
-                    }
-                }
-                PNode::List(e) => refs[*e] += 1,
-                _ => {}
-            }
-        }
+        let refs = self.in_degrees();
         let mut memo: Vec<Option<usize>> = vec![None; self.nodes().len()];
-        let roots = (0..self.arity())
-            .map(|i| self.weaken_node(self.root(i), config, &refs, &mut memo, &mut out_nodes))
-            .collect();
-        Pattern::new(out_nodes, roots)
+        for i in 0..self.arity() {
+            let root = self.weaken_node(self.root(i), config, &refs, &mut memo, &mut out);
+            out.set_root(i, root);
+        }
+        Pattern::new(out)
     }
 
     fn weaken_node(
         &self,
         id: usize,
         config: DomainConfig,
-        refs: &[usize],
+        refs: &[u32],
         memo: &mut Vec<Option<usize>>,
-        out: &mut Vec<PNode>,
+        out: &mut PatternBuilder,
     ) -> usize {
         // With aliasing on, preserve sharing through the memo; with it
         // off, re-emit the subgraph per occurrence.
@@ -90,49 +77,42 @@ impl Pattern {
                 return n;
             }
         }
-        let push = |out: &mut Vec<PNode>, n: PNode| {
-            out.push(n);
-            out.len() - 1
-        };
         let shared_here = refs[id] > 1;
-        let new = match self.node(id) {
+        let new = match *self.node(id) {
             PNode::Leaf(AbsLeaf::Var) if !config.aliasing && shared_here => {
                 // Dropped aliasing: a multiply-referenced var may be bound
                 // through another occurrence — weaken to any (the same
                 // rule the lub applies, DESIGN.md §3.4).
-                push(out, PNode::Leaf(AbsLeaf::Any))
+                out.push(PNode::Leaf(AbsLeaf::Any))
             }
-            PNode::Leaf(l) => push(out, PNode::Leaf(*l)),
-            PNode::Int(i) => push(out, PNode::Int(*i)),
-            PNode::Atom(a) => push(out, PNode::Atom(*a)),
+            node @ (PNode::Leaf(_) | PNode::Int(_) | PNode::Atom(_)) => out.push(node),
             PNode::List(e) => {
                 if config.list_types {
-                    let slot = push(out, PNode::Leaf(AbsLeaf::Any));
+                    let slot = out.push(PNode::Leaf(AbsLeaf::Any));
                     if config.aliasing {
                         memo[id] = Some(slot);
                     }
-                    let e = self.weaken_node(*e, config, refs, memo, out);
-                    out[slot] = PNode::List(e);
+                    let e = self.weaken_node(e, config, refs, memo, out);
+                    out.set(slot, PNode::List(e));
                     return slot;
                 }
-                push(out, PNode::Leaf(self.collapse_leaf(id, config)))
+                out.push(PNode::Leaf(self.collapse_leaf(id, config)))
             }
-            PNode::Struct(f, args) => {
-                let is_cons = crate::pattern::is_dot_symbol(*f) && args.len() == 2;
+            PNode::Struct(f, span) => {
+                let is_cons = crate::pattern::is_dot_symbol(f) && span.len() == 2;
                 let keep = config.struct_types || (is_cons && config.list_types);
                 if keep {
-                    let slot = push(out, PNode::Leaf(AbsLeaf::Any));
+                    let (slot, out_span) = out.push_struct(f, span.len());
                     if config.aliasing {
                         memo[id] = Some(slot);
                     }
-                    let args: Vec<usize> = args
-                        .iter()
-                        .map(|&a| self.weaken_node(a, config, refs, memo, out))
-                        .collect();
-                    out[slot] = PNode::Struct(*f, args);
+                    for (i, a) in self.args(span).enumerate() {
+                        let arg = self.weaken_node(a, config, refs, memo, out);
+                        out.set_arg(out_span, i, arg);
+                    }
                     return slot;
                 }
-                push(out, PNode::Leaf(self.collapse_leaf(id, config)))
+                out.push(PNode::Leaf(self.collapse_leaf(id, config)))
             }
         };
         if config.aliasing {
@@ -202,43 +182,65 @@ mod tests {
         );
     }
 
+    /// The one-root pattern `f(args…)` over the given leaf nodes.
+    fn strct(f: prolog_syntax::Symbol, args: &[PNode]) -> Pattern {
+        let mut b = PatternBuilder::new(1);
+        let (s, span) = b.push_struct(f, args.len());
+        for (i, &node) in args.iter().enumerate() {
+            let a = b.push(node);
+            b.set_arg(span, i, a);
+        }
+        b.set_root(0, s);
+        Pattern::new(b)
+    }
+
+    /// `(X, X)`, one shared `leaf` node.
+    fn shared(leaf: AbsLeaf) -> Pattern {
+        let mut b = PatternBuilder::new(2);
+        let x = b.push(PNode::Leaf(leaf));
+        b.set_root(0, x);
+        b.set_root(1, x);
+        Pattern::new(b)
+    }
+
     #[test]
     fn structs_collapse_but_cons_can_stay_as_list_info() {
         let f = prolog_syntax::Interner::new().intern("f");
-        let ground_struct = Pattern::new(vec![PNode::Int(1), PNode::Struct(f, vec![0])], vec![1]);
+        let ground_struct = strct(f, &[PNode::Int(1)]);
         assert_eq!(ground_struct.weaken(NO_STRUCTS), spec(&["g"]));
-        let open_struct = Pattern::new(
-            vec![PNode::Leaf(AbsLeaf::Var), PNode::Struct(f, vec![0])],
-            vec![1],
-        );
+        let open_struct = strct(f, &[PNode::Leaf(AbsLeaf::Var)]);
         assert_eq!(open_struct.weaken(NO_STRUCTS), spec(&["nv"]));
         // A cons keeps its shape when list types are on (it carries list
         // information).
         let dot = crate::pattern::dot_symbol();
-        let cons = Pattern::new(
-            vec![
-                PNode::Leaf(AbsLeaf::Ground),
-                PNode::Leaf(AbsLeaf::Ground),
-                PNode::List(1),
-                PNode::Struct(dot, vec![0, 2]),
-            ],
-            vec![3],
-        );
+        let mut b = PatternBuilder::new(1);
+        let (cons, span) = b.push_struct(dot, 2);
+        let car = b.push(PNode::Leaf(AbsLeaf::Ground));
+        let elem = b.push(PNode::Leaf(AbsLeaf::Ground));
+        let cdr = b.push(PNode::List(elem));
+        b.set_arg(span, 0, car);
+        b.set_arg(span, 1, cdr);
+        b.set_root(0, cons);
+        let cons = Pattern::new(b);
         assert_eq!(cons.weaken(NO_STRUCTS), cons);
     }
 
     #[test]
     fn aliasing_drop_weakens_shared_vars() {
-        let shared = Pattern::new(vec![PNode::Leaf(AbsLeaf::Var)], vec![0, 0]);
-        assert_eq!(shared.weaken(NO_ALIASING), spec(&["any", "any"]));
+        assert_eq!(
+            shared(AbsLeaf::Var).weaken(NO_ALIASING),
+            spec(&["any", "any"])
+        );
         // Unshared vars keep their freeness.
         assert_eq!(
             spec(&["var", "var"]).weaken(NO_ALIASING),
             spec(&["var", "var"])
         );
         // Shared non-var leaves just unshare.
-        let shared_any = Pattern::new(vec![PNode::Leaf(AbsLeaf::Any)], vec![0, 0]);
-        assert_eq!(shared_any.weaken(NO_ALIASING), spec(&["any", "any"]));
+        assert_eq!(
+            shared(AbsLeaf::Any).weaken(NO_ALIASING),
+            spec(&["any", "any"])
+        );
     }
 
     #[test]

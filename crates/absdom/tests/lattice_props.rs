@@ -3,7 +3,7 @@
 //! randomly generated concrete terms. Shapes come from a deterministic
 //! inline PRNG (the workspace builds offline, so no proptest).
 
-use absdom::{AbsLeaf, PNode, Pattern};
+use absdom::{AbsLeaf, PNode, Pattern, PatternBuilder};
 use prolog_syntax::{Interner, Term, VarId};
 
 /// xorshift64* — deterministic shape generator driver.
@@ -81,39 +81,44 @@ fn functor_symbol(i: u8, interner: &mut Interner) -> prolog_syntax::Symbol {
     })
 }
 
-fn build(shape: &Shape, nodes: &mut Vec<PNode>, interner: &mut Interner) -> usize {
+fn build(shape: &Shape, graph: &mut PatternBuilder, interner: &mut Interner) -> usize {
     let node = match shape {
         Shape::Leaf(i) => PNode::Leaf(leaf_of(*i)),
         Shape::Int(i) => PNode::Int(*i),
         Shape::Nil => PNode::Atom(absdom::nil_symbol()),
         Shape::List(e) => {
-            let e = build(e, nodes, interner);
+            let e = build(e, graph, interner);
             PNode::List(e)
         }
         Shape::Struct(f, args) => {
             let sym = functor_symbol(*f, interner);
-            let args = args.iter().map(|a| build(a, nodes, interner)).collect();
-            PNode::Struct(sym, args)
+            let (id, span) = graph.push_struct(sym, args.len());
+            for (i, a) in args.iter().enumerate() {
+                let arg = build(a, graph, interner);
+                graph.set_arg(span, i, arg);
+            }
+            return id;
         }
         Shape::Cons(h, t) => {
-            let dot = interner.dot();
-            let h = build(h, nodes, interner);
-            let t = build(t, nodes, interner);
-            PNode::Struct(dot, vec![h, t])
+            let (id, span) = graph.push_struct(interner.dot(), 2);
+            let h = build(h, graph, interner);
+            graph.set_arg(span, 0, h);
+            let t = build(t, graph, interner);
+            graph.set_arg(span, 1, t);
+            return id;
         }
     };
-    nodes.push(node);
-    nodes.len() - 1
+    graph.push(node)
 }
 
 fn pattern_of(shapes: &[Shape]) -> Pattern {
     let mut interner = Interner::new();
-    let mut nodes = Vec::new();
-    let roots = shapes
-        .iter()
-        .map(|s| build(s, &mut nodes, &mut interner))
-        .collect();
-    Pattern::new(nodes, roots)
+    let mut graph = PatternBuilder::new(shapes.len());
+    for (i, s) in shapes.iter().enumerate() {
+        let root = build(s, &mut graph, &mut interner);
+        graph.set_root(i, root);
+    }
+    Pattern::new(graph)
 }
 
 /// Generator for small concrete terms (sharing one global interner layout).
@@ -211,10 +216,7 @@ fn canonicalization_stable() {
         let a = shape_vec(&mut rng, len);
         let p = pattern_of(&a);
         // Pattern::new canonicalizes; re-wrapping must be a fixpoint.
-        let q = Pattern::new(
-            p.nodes().to_vec(),
-            (0..p.arity()).map(|i| p.root(i)).collect(),
-        );
+        let q = Pattern::new(p.clone().into_builder());
         assert_eq!(p, q, "case {case}");
     }
 }

@@ -5,7 +5,7 @@
 //! This mirrors what a Prolog-hosted analyzer keeps in its interpreted
 //! term representation; nothing here is specialized per program point.
 
-use absdom::{AbsLeaf, NodeId, PNode, Pattern};
+use absdom::{AbsLeaf, NodeId, PNode, Pattern, PatternBuilder};
 use awam_exec::{TrailMark, ValueTrail};
 use prolog_syntax::{Symbol, Term};
 use std::collections::HashMap;
@@ -452,13 +452,13 @@ impl Store {
 
     /// Extract the canonical pattern of the given roots at `depth_k`.
     pub fn extract(&self, roots: &[Ref], depth_k: usize) -> Pattern {
-        let mut nodes = Vec::new();
+        let mut graph = PatternBuilder::new(roots.len());
         let mut map: HashMap<Ref, NodeId> = HashMap::new();
-        let ids = roots
-            .iter()
-            .map(|&r| self.extract_node(r, 0, depth_k, &mut nodes, &mut map))
-            .collect();
-        Pattern::new(nodes, ids)
+        for (i, &r) in roots.iter().enumerate() {
+            let id = self.extract_node(r, 0, depth_k, &mut graph, &mut map);
+            graph.set_root(i, id);
+        }
+        Pattern::new(graph)
     }
 
     fn extract_node(
@@ -466,7 +466,7 @@ impl Store {
         r: Ref,
         depth: usize,
         depth_k: usize,
-        nodes: &mut Vec<PNode>,
+        graph: &mut PatternBuilder,
         map: &mut HashMap<Ref, NodeId>,
     ) -> NodeId {
         let rr = self.resolve(r);
@@ -480,41 +480,35 @@ impl Store {
             } else {
                 leaf
             };
-            nodes.push(PNode::Leaf(leaf));
-            return nodes.len() - 1;
+            return graph.push(PNode::Leaf(leaf));
         }
-        let push = |nodes: &mut Vec<PNode>, n: PNode| {
-            nodes.push(n);
-            nodes.len() - 1
-        };
         match self.nodes[rr].clone() {
             BNode::Free => {
-                let id = push(nodes, PNode::Leaf(AbsLeaf::Var));
+                let id = graph.push(PNode::Leaf(AbsLeaf::Var));
                 map.insert(rr, id);
                 id
             }
             BNode::Leaf(l) => {
-                let id = push(nodes, PNode::Leaf(l));
+                let id = graph.push(PNode::Leaf(l));
                 map.insert(rr, id);
                 id
             }
-            BNode::Atom(a) => push(nodes, PNode::Atom(a)),
-            BNode::Int(i) => push(nodes, PNode::Int(i)),
+            BNode::Atom(a) => graph.push(PNode::Atom(a)),
+            BNode::Int(i) => graph.push(PNode::Int(i)),
             BNode::ListOf(e) => {
-                let id = push(nodes, PNode::Leaf(AbsLeaf::Any)); // placeholder
+                let id = graph.push(PNode::Leaf(AbsLeaf::Any)); // placeholder
                 map.insert(rr, id);
-                let elem = self.extract_node(e, depth + 1, depth_k, nodes, map);
-                nodes[id] = PNode::List(elem);
+                let elem = self.extract_node(e, depth + 1, depth_k, graph, map);
+                graph.set(id, PNode::List(elem));
                 id
             }
             BNode::Struct(f, children) => {
-                let id = push(nodes, PNode::Leaf(AbsLeaf::Any)); // placeholder
+                let (id, span) = graph.push_struct(f, children.len());
                 map.insert(rr, id);
-                let args = children
-                    .iter()
-                    .map(|&c| self.extract_node(c, depth + 1, depth_k, nodes, map))
-                    .collect();
-                nodes[id] = PNode::Struct(f, args);
+                for (i, &c) in children.iter().enumerate() {
+                    let arg = self.extract_node(c, depth + 1, depth_k, graph, map);
+                    graph.set_arg(span, i, arg);
+                }
                 id
             }
             BNode::Bound(_) => unreachable!("resolved"),
@@ -585,12 +579,12 @@ impl Store {
                 self.nodes[r] = BNode::ListOf(elem);
                 return r;
             }
-            PNode::Struct(f, args) => {
+            PNode::Struct(f, span) => {
                 let r = self.alloc(BNode::Free); // placeholder
                 done.insert(id, r);
-                let children: Vec<Ref> = args
-                    .iter()
-                    .map(|&a| self.materialize_node(pattern, a, done))
+                let children: Vec<Ref> = pattern
+                    .args(*span)
+                    .map(|a| self.materialize_node(pattern, a, done))
                     .collect();
                 self.nodes[r] = BNode::Struct(*f, children);
                 return r;

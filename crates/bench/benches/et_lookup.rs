@@ -27,7 +27,7 @@
 //! over a deterministic xorshift64* workload. Run with
 //! `cargo bench --bench et_lookup`.
 
-use absdom::{AbsLeaf, FxHashMap, PNode, Pattern, PatternId, SessionInterner};
+use absdom::{AbsLeaf, FxHashMap, PNode, Pattern, PatternBuilder, PatternId, SessionInterner};
 use prolog_syntax::Symbol;
 use std::collections::BTreeMap;
 use std::hint::black_box;
@@ -60,7 +60,7 @@ impl Rng {
 /// slots, where only the last three (the rightmost, deepest leaves — the
 /// *end* of the canonical pre-order node table) vary between members.
 struct FamilyBuilder<'a> {
-    nodes: Vec<PNode>,
+    graph: PatternBuilder,
     emitted_leaves: usize,
     rng: &'a mut Rng,
 }
@@ -69,11 +69,6 @@ struct FamilyBuilder<'a> {
 const FIXED_LEAVES: usize = 9;
 
 impl FamilyBuilder<'_> {
-    fn push(&mut self, node: PNode) -> usize {
-        self.nodes.push(node);
-        self.nodes.len() - 1
-    }
-
     fn leaf(&mut self) -> usize {
         let node = if self.emitted_leaves < FIXED_LEAVES {
             PNode::Leaf(AbsLeaf::Ground)
@@ -83,36 +78,46 @@ impl FamilyBuilder<'_> {
             PNode::Leaf(AbsLeaf::ALL[self.rng.below(AbsLeaf::ALL.len() as u64) as usize])
         };
         self.emitted_leaves += 1;
-        self.push(node)
+        self.graph.push(node)
     }
 
     fn h(&mut self, h: Symbol) -> usize {
-        let a = self.leaf();
-        let b = self.leaf();
-        let c = self.leaf();
-        self.push(PNode::Struct(h, vec![a, b, c]))
+        let (id, span) = self.graph.push_struct(h, 3);
+        for i in 0..3 {
+            let leaf = self.leaf();
+            self.graph.set_arg(span, i, leaf);
+        }
+        id
     }
 
     fn g(&mut self, g: Symbol, h: Symbol) -> usize {
-        let a = self.h(h);
-        let b = self.h(h);
-        self.push(PNode::Struct(g, vec![a, b]))
+        let (id, span) = self.graph.push_struct(g, 2);
+        for i in 0..2 {
+            let arg = self.h(h);
+            self.graph.set_arg(span, i, arg);
+        }
+        id
     }
 }
 
 fn family_member(rng: &mut Rng, f: Symbol, g: Symbol, h: Symbol) -> Pattern {
     let mut b = FamilyBuilder {
-        nodes: Vec::new(),
+        graph: PatternBuilder::new(3),
         emitted_leaves: 0,
         rng,
     };
-    let left = b.g(g, h);
-    let right = b.g(g, h);
-    let arg0 = b.push(PNode::Struct(f, vec![left, right]));
-    let elem = b.push(PNode::Leaf(AbsLeaf::Ground));
-    let arg1 = b.push(PNode::List(elem));
-    let arg2 = b.push(PNode::Leaf(AbsLeaf::Var));
-    Pattern::new(b.nodes, vec![arg0, arg1, arg2])
+    let (arg0, span) = b.graph.push_struct(f, 2);
+    for i in 0..2 {
+        let arg = b.g(g, h);
+        b.graph.set_arg(span, i, arg);
+    }
+    let elem = b.graph.push(PNode::Leaf(AbsLeaf::Ground));
+    let arg1 = b.graph.push(PNode::List(elem));
+    let arg2 = b.graph.push(PNode::Leaf(AbsLeaf::Var));
+    for (i, root) in [arg0, arg1, arg2].into_iter().enumerate() {
+        b.graph.set_root(i, root);
+    }
+    Pattern::new(b.graph)
 }
 
 /// `n` distinct family members (regenerating on collisions,

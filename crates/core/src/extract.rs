@@ -13,7 +13,7 @@
 //! a call site.
 
 use crate::acell::ACell;
-use absdom::{AbsLeaf, NodeId, PNode, Pattern};
+use absdom::{AbsLeaf, NodeId, PNode, Pattern, PatternBuilder};
 
 /// Follow reference chains; returns the representative cell and its heap
 /// address when it has one (open cells and compounds always do). This is
@@ -43,18 +43,8 @@ pub struct ExtractScratch {
     open: Vec<usize>,
     open_lists: Vec<usize>,
     visiting: Vec<usize>,
-    /// Retired `Struct` argument vectors, harvested from the previous
-    /// output before it is cleared and reissued to new struct/cons nodes.
-    /// List-heavy programs build one such vector per cons cell per
-    /// extraction; recycling them is the difference between one
-    /// malloc/free pair per cons and none.
-    args_pool: Vec<Vec<NodeId>>,
     out: Pattern,
 }
-
-/// Upper bound on pooled argument vectors (a backstop so one huge
-/// pattern cannot pin memory forever; typical patterns stay far below).
-const ARGS_POOL_CAP: usize = 4096;
 
 /// A generation-stamped dense heap-address → node map: O(1) probe and
 /// insert, O(1) reset (bumping the generation invalidates every stale
@@ -102,18 +92,8 @@ pub fn extract_with<'s>(
     depth_k: usize,
     scratch: &'s mut ExtractScratch,
 ) -> &'s Pattern {
-    let (mut nodes, mut roots) = std::mem::take(&mut scratch.out).into_parts();
-    for node in nodes.drain(..) {
-        if scratch.args_pool.len() == ARGS_POOL_CAP {
-            break;
-        }
-        if let PNode::Struct(_, mut args) = node {
-            args.clear();
-            scratch.args_pool.push(args);
-        }
-    }
-    nodes.clear();
-    roots.clear();
+    let mut out = std::mem::take(&mut scratch.out).into_builder();
+    out.reset(args.len());
     scratch.map.begin(heap.len());
     scratch.pair_map.begin(heap.len());
     scratch.open.clear();
@@ -121,31 +101,33 @@ pub fn extract_with<'s>(
     let mut ex = Extractor {
         heap,
         depth_k,
-        nodes,
+        out,
         map: std::mem::take(&mut scratch.map),
         pair_map: std::mem::take(&mut scratch.pair_map),
         open: std::mem::take(&mut scratch.open),
         open_lists: std::mem::take(&mut scratch.open_lists),
         visiting: std::mem::take(&mut scratch.visiting),
-        args_pool: std::mem::take(&mut scratch.args_pool),
     };
-    roots.extend(args.iter().map(|&a| ex.node(a, 0)));
+    for (i, &a) in args.iter().enumerate() {
+        let root = ex.node(a, 0);
+        ex.out.set_root(i, root);
+    }
     scratch.map = ex.map;
     scratch.pair_map = ex.pair_map;
     scratch.open = ex.open;
     scratch.open_lists = ex.open_lists;
     scratch.visiting = ex.visiting;
-    scratch.args_pool = ex.args_pool;
-    // The extractor emits canonical form directly (pre-order numbering,
-    // ground subgraphs unshared), so the canonicalization pass is skipped.
-    scratch.out = Pattern::from_canonical(ex.nodes, roots);
+    // The extractor emits canonical form directly (pre-order numbering
+    // and argument spans, ground subgraphs unshared), so the
+    // canonicalization pass is skipped.
+    scratch.out = Pattern::from_canonical(ex.out);
     &scratch.out
 }
 
 struct Extractor<'h> {
     heap: &'h [ACell],
     depth_k: usize,
-    nodes: Vec<PNode>,
+    out: PatternBuilder,
     /// Open-cell heap address → node, for sharing-preserving extraction.
     map: AddrMap,
     /// Compound payload address → node (cons pairs and structs).
@@ -164,21 +146,9 @@ struct Extractor<'h> {
     /// on every sharing check and depth cut; reallocating the guard per
     /// walk showed up in profiles).
     visiting: Vec<usize>,
-    /// Retired `Struct` argument vectors; see [`ExtractScratch::args_pool`].
-    args_pool: Vec<Vec<NodeId>>,
 }
 
 impl Extractor<'_> {
-    fn push(&mut self, node: PNode) -> NodeId {
-        self.nodes.push(node);
-        self.nodes.len() - 1
-    }
-
-    /// An empty argument vector, recycled from the pool when available.
-    fn take_args(&mut self) -> Vec<NodeId> {
-        self.args_pool.pop().unwrap_or_default()
-    }
-
     /// [`Self::summarize`] through the reusable scratch guard.
     fn summarize_scratch(&mut self, cell: ACell) -> AbsLeaf {
         let mut visiting = std::mem::take(&mut self.visiting);
@@ -199,7 +169,7 @@ impl Extractor<'_> {
         } else {
             leaf
         };
-        self.push(PNode::Leaf(leaf))
+        self.out.push(PNode::Leaf(leaf))
     }
 
     fn node(&mut self, cell: ACell, depth: usize) -> NodeId {
@@ -243,12 +213,12 @@ impl Extractor<'_> {
         }
         match cell {
             ACell::Ref(a) => {
-                let id = self.push(PNode::Leaf(AbsLeaf::Var));
+                let id = self.out.push(PNode::Leaf(AbsLeaf::Var));
                 self.map.insert(a, id);
                 id
             }
             ACell::Abs(l) => {
-                let id = self.push(PNode::Leaf(l));
+                let id = self.out.push(PNode::Leaf(l));
                 if let Some(a) = addr {
                     if !l.is_ground() {
                         self.map.insert(a, id);
@@ -257,7 +227,7 @@ impl Extractor<'_> {
                 id
             }
             ACell::AbsList(e) => {
-                let id = self.push(PNode::Leaf(AbsLeaf::Any)); // placeholder
+                let id = self.out.push(PNode::Leaf(AbsLeaf::Any)); // placeholder
                 if let Some(a) = addr {
                     self.map.insert(a, id);
                 }
@@ -270,38 +240,34 @@ impl Extractor<'_> {
                 if addr.is_some() {
                     self.open_lists.pop();
                 }
-                self.nodes[id] = PNode::List(elem);
+                self.out.set(id, PNode::List(elem));
                 id
             }
-            ACell::Con(s) => self.push(PNode::Atom(s)),
-            ACell::Int(i) => self.push(PNode::Int(i)),
+            ACell::Con(s) => self.out.push(PNode::Atom(s)),
+            ACell::Int(i) => self.out.push(PNode::Int(i)),
             ACell::Lis(p) => {
-                let id = self.push(PNode::Leaf(AbsLeaf::Any)); // placeholder
+                let (id, span) = self.out.push_struct(absdom::dot_symbol(), 2);
                 self.pair_map.insert(p, id);
                 self.open.push(p);
                 let car = self.node(ACell::Ref(p), depth + 1);
+                self.out.set_arg(span, 0, car);
                 let cdr = self.node(ACell::Ref(p + 1), depth + 1);
+                self.out.set_arg(span, 1, cdr);
                 self.open.pop();
-                let mut args = self.take_args();
-                args.push(car);
-                args.push(cdr);
-                self.nodes[id] = PNode::Struct(absdom::dot_symbol(), args);
                 id
             }
             ACell::Str(p) => {
-                let id = self.push(PNode::Leaf(AbsLeaf::Any)); // placeholder
-                self.pair_map.insert(p, id);
-                self.open.push(p);
                 let ACell::Fun(f, n) = self.heap[p] else {
                     unreachable!("Str points at Fun");
                 };
-                let mut args = self.take_args();
+                let (id, span) = self.out.push_struct(f, n as usize);
+                self.pair_map.insert(p, id);
+                self.open.push(p);
                 for i in 0..n as usize {
                     let child = self.node(ACell::Ref(p + 1 + i), depth + 1);
-                    args.push(child);
+                    self.out.set_arg(span, i, child);
                 }
                 self.open.pop();
-                self.nodes[id] = PNode::Struct(f, args);
                 id
             }
             ACell::Fun(..) => unreachable!("bare functor cell"),
@@ -443,26 +409,27 @@ pub fn materialize_node(
             heap[a] = ACell::AbsList(elem_addr);
             return ACell::Ref(a);
         }
-        PNode::Struct(f, args) => {
-            if absdom::is_dot_symbol(*f) && args.len() == 2 {
+        PNode::Struct(f, span) => {
+            let (f, span) = (*f, *span);
+            if absdom::is_dot_symbol(f) && span.len() == 2 {
                 let p = heap.len();
                 heap.push(ACell::Ref(p));
                 heap.push(ACell::Ref(p + 1));
                 done[id] = Some(ACell::Lis(p));
-                let car = materialize_node(heap, pattern, args[0], done);
-                let cdr = materialize_node(heap, pattern, args[1], done);
+                let car = materialize_node(heap, pattern, pattern.arg(span, 0), done);
+                let cdr = materialize_node(heap, pattern, pattern.arg(span, 1), done);
                 heap[p] = normalize_store(heap, p, car);
                 heap[p + 1] = normalize_store(heap, p + 1, cdr);
                 return ACell::Lis(p);
             }
             let p = heap.len();
-            heap.push(ACell::Fun(*f, args.len() as u16));
-            for i in 0..args.len() {
+            heap.push(ACell::Fun(f, span.len() as u16));
+            for i in 0..span.len() {
                 let a = p + 1 + i;
                 heap.push(ACell::Ref(a));
             }
             done[id] = Some(ACell::Str(p));
-            for (i, &argid) in args.iter().enumerate() {
+            for (i, argid) in pattern.args(span).enumerate() {
                 let c = materialize_node(heap, pattern, argid, done);
                 heap[p + 1 + i] = normalize_store(heap, p + 1 + i, c);
             }
@@ -481,6 +448,40 @@ fn normalize_store(_heap: &[ACell], _slot: usize, cell: ACell) -> ACell {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use prolog_syntax::Symbol;
+
+    /// One node of a literal test graph: a plain node, or a struct with
+    /// its argument ids.
+    enum Lit {
+        N(PNode),
+        S(Symbol, Vec<NodeId>),
+    }
+
+    /// The canonical pattern of a literal graph and its roots.
+    fn lit(nodes: Vec<Lit>, roots: &[NodeId]) -> Pattern {
+        let mut b = PatternBuilder::new(roots.len());
+        let mut spans = Vec::new();
+        for node in nodes {
+            match node {
+                Lit::N(n) => {
+                    b.push(n);
+                }
+                Lit::S(f, args) => {
+                    let (_, span) = b.push_struct(f, args.len());
+                    spans.push((span, args));
+                }
+            }
+        }
+        for (span, args) in spans {
+            for (i, a) in args.into_iter().enumerate() {
+                b.set_arg(span, i, a);
+            }
+        }
+        for (i, &r) in roots.iter().enumerate() {
+            b.set_root(i, r);
+        }
+        Pattern::new(b)
+    }
 
     fn leaf(heap: &mut Vec<ACell>, l: AbsLeaf) -> ACell {
         let a = heap.len();
@@ -504,7 +505,7 @@ mod tests {
         let a = heap.len();
         heap.push(ACell::Ref(a));
         let p = extract(&heap, &[ACell::Ref(a), ACell::Ref(a)], 4);
-        let shared = Pattern::new(vec![PNode::Leaf(AbsLeaf::Var)], vec![0, 0]);
+        let shared = lit(vec![Lit::N(PNode::Leaf(AbsLeaf::Var))], &[0, 0]);
         assert_eq!(p, shared);
     }
 
@@ -534,11 +535,11 @@ mod tests {
         let p2 = extract(&heap, &[inner], 2);
         // Depth 0: f(·); depth 1: its arg; depth 2: cut → ground leaf.
         let expected_nodes = vec![
-            PNode::Struct(f, vec![1]),
-            PNode::Struct(f, vec![2]),
-            PNode::Leaf(AbsLeaf::Ground),
+            Lit::S(f, vec![1]),
+            Lit::S(f, vec![2]),
+            Lit::N(PNode::Leaf(AbsLeaf::Ground)),
         ];
-        assert_eq!(p2, Pattern::new(expected_nodes, vec![0]));
+        assert_eq!(p2, lit(expected_nodes, &[0]));
     }
 
     #[test]
@@ -553,13 +554,13 @@ mod tests {
         heap.push(ACell::Con(absdom::nil_symbol()));
         let pat = extract(&heap, &[ACell::Lis(p)], 1);
         let dot = absdom::dot_symbol();
-        let expected = Pattern::new(
+        let expected = lit(
             vec![
-                PNode::Struct(dot, vec![1, 2]),
-                PNode::Leaf(AbsLeaf::Any),
-                PNode::Leaf(AbsLeaf::Ground),
+                Lit::S(dot, vec![1, 2]),
+                Lit::N(PNode::Leaf(AbsLeaf::Any)),
+                Lit::N(PNode::Leaf(AbsLeaf::Ground)),
             ],
-            vec![0],
+            &[0],
         );
         assert_eq!(pat, expected);
     }
@@ -580,9 +581,9 @@ mod tests {
         heap.push(ACell::Str(p));
         heap[p + 1] = ACell::Ref(x);
         let pat = extract(&heap, &[ACell::Ref(x)], 4);
-        let expected = Pattern::new(
-            vec![PNode::Struct(f, vec![1]), PNode::Leaf(AbsLeaf::NonVar)],
-            vec![0],
+        let expected = lit(
+            vec![Lit::S(f, vec![1]), Lit::N(PNode::Leaf(AbsLeaf::NonVar))],
+            &[0],
         );
         assert_eq!(pat, expected);
     }
@@ -604,15 +605,15 @@ mod tests {
         heap.push(ACell::Con(absdom::nil_symbol())); // cdr: []
         let pat = extract(&heap, &[ACell::Lis(p), ACell::Lis(q)], 4);
         let dot = absdom::dot_symbol();
-        let expected = Pattern::new(
+        let expected = lit(
             vec![
-                PNode::Struct(dot, vec![1, 2]),
-                PNode::Leaf(AbsLeaf::Var),
-                PNode::Atom(absdom::nil_symbol()),
-                PNode::Struct(dot, vec![0, 4]),
-                PNode::Atom(absdom::nil_symbol()),
+                Lit::S(dot, vec![1, 2]),
+                Lit::N(PNode::Leaf(AbsLeaf::Var)),
+                Lit::N(PNode::Atom(absdom::nil_symbol())),
+                Lit::S(dot, vec![0, 4]),
+                Lit::N(PNode::Atom(absdom::nil_symbol())),
             ],
-            vec![0, 3],
+            &[0, 3],
         );
         assert_eq!(pat, expected);
     }
@@ -635,7 +636,7 @@ mod tests {
 
     #[test]
     fn materialize_preserves_sharing() {
-        let shared = Pattern::new(vec![PNode::Leaf(AbsLeaf::Any)], vec![0, 0]);
+        let shared = lit(vec![Lit::N(PNode::Leaf(AbsLeaf::Any))], &[0, 0]);
         let mut heap = Vec::new();
         let cells = materialize(&mut heap, &shared);
         let (_, a0) = deref(&heap, cells[0]);
@@ -648,9 +649,9 @@ mod tests {
     #[test]
     fn materialize_concrete_structures() {
         let f = prolog_syntax::Interner::new().intern("f");
-        let p = Pattern::new(
-            vec![PNode::Leaf(AbsLeaf::Var), PNode::Struct(f, vec![0])],
-            vec![1, 0],
+        let p = lit(
+            vec![Lit::N(PNode::Leaf(AbsLeaf::Var)), Lit::S(f, vec![0])],
+            &[1, 0],
         );
         let mut heap = Vec::new();
         let cells = materialize(&mut heap, &p);

@@ -499,13 +499,17 @@ impl<'a> PatternCarrier<'a> {
             Carry::Done(new_id) => return new_id,
             Carry::Same => new.intern_ref(self.old.resolve(id)),
             _ => {
-                let (mut nodes, roots) = self.old.resolve(id).clone().into_parts();
-                for node in &mut nodes {
-                    if let PNode::Atom(s) | PNode::Struct(s, _) = node {
-                        *s = self.symbols.get(*s).expect("checked by maps");
+                let old = self.old.resolve(id);
+                let rename = |s| self.symbols.get(s).expect("checked by maps");
+                let mut graph = old.clone().into_builder();
+                for (n, &node) in old.nodes().iter().enumerate() {
+                    match node {
+                        PNode::Atom(s) => graph.set(n, PNode::Atom(rename(s))),
+                        PNode::Struct(s, span) => graph.set(n, PNode::Struct(rename(s), span)),
+                        _ => {}
                     }
                 }
-                new.intern(Pattern::from_canonical(nodes, roots))
+                new.intern(Pattern::from_canonical(graph))
             }
         };
         self.carry[id.index()] = Carry::Done(new_id);

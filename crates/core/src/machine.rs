@@ -25,7 +25,7 @@ use crate::analyzer::ProfileData;
 use crate::extract::{deref, extract, extract_with, materialize, materialize_into, ExtractScratch};
 use crate::table::{DerivationOrigin, ExtensionTable};
 use crate::IterationStrategy;
-use absdom::{AbsLeaf, DomainConfig, FxHashMap, Pattern, PatternId, SessionInterner};
+use absdom::{AbsLeaf, DomainConfig, FxHashMap, LubScratch, Pattern, PatternId, SessionInterner};
 use awam_exec::{Flow, Frame, Interpretation, Mode};
 use awam_obs::{Histogram, Layer, MachineStats, OpcodeCounts, SpanProfiler, TraceEvent, Tracer};
 use std::collections::{BTreeMap, BTreeSet};
@@ -215,6 +215,9 @@ pub struct AbstractMachine<'p> {
     /// Scratch buffers for pattern extraction (one per machine; the
     /// extracted pattern is interned clone-on-miss straight out of here).
     extract_scratch: ExtractScratch,
+    /// Scratch buffers every summary lub of this run shares. The machine
+    /// owns it, so a parked session's interner keeps none.
+    lub_scratch: LubScratch,
 }
 
 /// The abstract interpretation of §4–§5: `s_unify` and complex-term
@@ -518,6 +521,7 @@ impl<'p> AbstractMachine<'p> {
             unify_seen_set: FxHashMap::default(),
             runaway: None,
             extract_scratch: ExtractScratch::default(),
+            lub_scratch: LubScratch::default(),
             mat_done: Vec::new(),
             apply_args: Vec::new(),
             cell_pool: Vec::new(),
@@ -1091,6 +1095,7 @@ impl<'p> AbstractMachine<'p> {
                         entry_idx,
                         sp,
                         &mut self.interner,
+                        &mut self.lub_scratch,
                         Some((clause_idx, self.iter)),
                     );
                     self.lap_layer(Layer::EtUpdate);

@@ -109,11 +109,11 @@ fn display_node_type(p: &Pattern, id: usize, interner: &Interner) -> String {
         PNode::Leaf(l) => l.to_string(),
         PNode::Int(i) => i.to_string(),
         PNode::Atom(a) => interner.resolve(*a).to_owned(),
-        PNode::Struct(f, args) => {
+        PNode::Struct(f, span) => {
             let name = interner.resolve(*f);
-            let args: Vec<String> = args
-                .iter()
-                .map(|&a| display_node_type(p, a, interner))
+            let args: Vec<String> = p
+                .args(*span)
+                .map(|a| display_node_type(p, a, interner))
                 .collect();
             if name == "." && args.len() == 2 {
                 format!("[{}|{}]", args[0], args[1])

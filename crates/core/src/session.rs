@@ -49,7 +49,7 @@
 use crate::analyzer::{Analysis, Analyzer};
 use crate::machine::AnalysisError;
 use crate::table::ExtensionTable;
-use absdom::{Pattern, SessionInterner};
+use absdom::{LubScratch, Pattern, SessionInterner};
 use awam_obs::{Json, SessionStats, Tracer};
 
 /// A query session over one compiled [`Analyzer`]: owns the extension
@@ -105,13 +105,6 @@ impl SessionParts {
         self.table.len()
     }
 
-    /// Rough heap footprint estimate in bytes (memo entries plus
-    /// session-local interned patterns), used by pool byte budgets.
-    pub fn approx_bytes(&self) -> usize {
-        let overlay = self.interner.len() - self.interner.base().len();
-        self.table.len() * 64 + overlay * 128
-    }
-
     /// Split into the raw table/interner/stats triple (incremental
     /// migration rebuilds the parts against a new analyzer).
     pub(crate) fn into_inner(self) -> (ExtensionTable, SessionInterner, SessionStats) {
@@ -137,16 +130,19 @@ impl SessionParts {
     /// Session-level subsumption probe against the parked table (needs
     /// the interner's leq cache, hence `&mut self`).
     pub(crate) fn find_subsuming(&mut self, pred: usize, call: absdom::PatternId) -> Option<usize> {
-        self.table.find_subsuming(pred, call, &mut self.interner)
+        self.table
+            .find_subsuming(pred, call, &mut self.interner, &mut LubScratch::default())
     }
 
     /// Reassemble parts from a raw triple (inverse of
-    /// [`SessionParts::into_inner`]).
+    /// [`SessionParts::into_inner`]). Parked parts keep no spare arena
+    /// capacity.
     pub(crate) fn from_inner(
         table: ExtensionTable,
-        interner: SessionInterner,
+        mut interner: SessionInterner,
         stats: SessionStats,
     ) -> SessionParts {
+        interner.shrink_to_fit();
         SessionParts {
             table,
             interner,
@@ -185,11 +181,7 @@ impl<'a> Session<'a> {
     /// borrow) so it can be parked in a pool and later rehydrated with
     /// [`Session::resume`].
     pub fn into_parts(self) -> SessionParts {
-        SessionParts {
-            table: self.table,
-            interner: self.interner,
-            stats: self.stats,
-        }
+        SessionParts::from_inner(self.table, self.interner, self.stats)
     }
 
     /// Override the abstract-instruction budget for this session's
@@ -293,9 +285,16 @@ impl<'a> Session<'a> {
     ) -> Result<Analysis, AnalysisError> {
         let (pred, entry) = self.analyzer.resolve_entry(name, entry)?;
         let entry_id = self.interner.intern(entry.clone());
+        // A leq miss joins through a scratch of its own: a warm probe
+        // rarely joins at all, and the session keeps no run scratch.
         if self
             .table
-            .find_subsuming(pred, entry_id, &mut self.interner)
+            .find_subsuming(
+                pred,
+                entry_id,
+                &mut self.interner,
+                &mut LubScratch::default(),
+            )
             .is_some()
         {
             self.stats.session_warm_hits += 1;

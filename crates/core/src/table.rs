@@ -13,7 +13,7 @@
 //! lookup). The summary lub / subsumption probes go through the session
 //! interner's memo caches.
 
-use absdom::{FxHashMap, PatternId, SessionInterner};
+use absdom::{FxHashMap, LubScratch, PatternId, SessionInterner};
 use awam_obs::TableStats;
 
 /// Where a table entry came from: the clause body whose call created it.
@@ -205,19 +205,21 @@ impl ExtensionTable {
 
     /// Index of the first entry under `pred` whose calling pattern
     /// subsumes `call` (`call ⊑ entry.call`), deciding the order through
-    /// `interner`'s leq memo cache. Quiet with respect to the
-    /// machine-level stats counters: this is the *session*-level reuse
-    /// probe, counted by [`awam_obs::SessionStats`] instead.
+    /// `interner`'s leq memo cache (a miss joins through `scratch`).
+    /// Quiet with respect to the machine-level stats counters: this is
+    /// the *session*-level reuse probe, counted by
+    /// [`awam_obs::SessionStats`] instead.
     pub fn find_subsuming(
         &self,
         pred: usize,
         call: PatternId,
         interner: &mut SessionInterner,
+        scratch: &mut LubScratch,
     ) -> Option<usize> {
         self.preds[pred]
             .entries
             .iter()
-            .position(|e| interner.leq(call, e.call))
+            .position(|e| interner.leq(call, e.call, scratch))
     }
 
     /// The highest `explored_iter` over all entries — the resume point
@@ -282,9 +284,9 @@ impl ExtensionTable {
         &self.preds[pred].deps[idx]
     }
 
-    /// Lub `success` into the entry (through `interner`'s memo caches);
-    /// returns whether the summary grew (also recorded in the global
-    /// change flag).
+    /// Lub `success` into the entry (through `interner`'s memo caches,
+    /// joining through `scratch` on a miss); returns whether the summary
+    /// grew (also recorded in the global change flag).
     ///
     /// `prov` carries the `(clause, iteration)` context of the solution
     /// being folded in; pass `None` when tracking is off (or from call
@@ -296,6 +298,7 @@ impl ExtensionTable {
         idx: usize,
         success: PatternId,
         interner: &mut SessionInterner,
+        scratch: &mut LubScratch,
         prov: Option<(usize, u64)>,
     ) -> bool {
         self.stats.summary_updates += 1;
@@ -314,10 +317,10 @@ impl ExtensionTable {
                 // enough. A leq miss computes `lub(success, old)`
                 // internally, which warms the (unordered) lub cache, so
                 // the growing branch's lub below is a cache hit.
-                if interner.leq(success, old) {
+                if interner.leq(success, old, scratch) {
                     return false;
                 }
-                let new = interner.lub(old, success);
+                let new = interner.lub(old, success, scratch);
                 debug_assert_ne!(old, new, "leq said success ⋢ old, so the lub must grow");
                 entry.success = Some(new);
                 self.stats.lub_widenings += 1;
@@ -456,6 +459,7 @@ mod tests {
     #[test]
     fn success_lubbing_sets_changed() {
         let mut interner = SessionInterner::default();
+        let scratch = &mut LubScratch::default();
         let any = pat(&mut interner, &["any"]);
         let atom = pat(&mut interner, &["atom"]);
         let int = pat(&mut interner, &["int"]);
@@ -463,14 +467,14 @@ mod tests {
         let mut t = ExtensionTable::new(1);
         let idx = t.insert(0, any, 1);
         assert!(!t.changed());
-        t.update_success(0, idx, atom, &mut interner, None);
+        t.update_success(0, idx, atom, &mut interner, scratch, None);
         assert!(t.changed());
         t.clear_changed();
         // Same success again: no change.
-        t.update_success(0, idx, atom, &mut interner, None);
+        t.update_success(0, idx, atom, &mut interner, scratch, None);
         assert!(!t.changed());
         // Larger success: lub grows.
-        t.update_success(0, idx, int, &mut interner, None);
+        t.update_success(0, idx, int, &mut interner, scratch, None);
         assert!(t.changed());
         assert_eq!(t.entry(0, idx).success, Some(konst));
     }
@@ -528,14 +532,15 @@ mod tests {
     #[test]
     fn stats_track_summary_updates() {
         let mut interner = SessionInterner::default();
+        let scratch = &mut LubScratch::default();
         let any = pat(&mut interner, &["any"]);
         let atom = pat(&mut interner, &["atom"]);
         let int = pat(&mut interner, &["int"]);
         let mut t = ExtensionTable::new(1);
         let idx = t.insert(0, any, 1);
-        t.update_success(0, idx, atom, &mut interner, None); // first summary
-        t.update_success(0, idx, atom, &mut interner, None); // identical: fast path
-        t.update_success(0, idx, int, &mut interner, None); // lub grows to const
+        t.update_success(0, idx, atom, &mut interner, scratch, None); // first summary
+        t.update_success(0, idx, atom, &mut interner, scratch, None); // identical: fast path
+        t.update_success(0, idx, int, &mut interner, scratch, None); // lub grows to const
         let stats = t.stats();
         assert_eq!(stats.summary_updates, 3);
         assert_eq!(stats.lub_widenings, 1, "only the growing lub counts");
@@ -551,18 +556,19 @@ mod tests {
     #[test]
     fn update_success_answers_subsumed_inputs_from_the_leq_cache() {
         let mut interner = SessionInterner::default();
+        let scratch = &mut LubScratch::default();
         let any_arg = pat(&mut interner, &["any"]);
         let konst = pat(&mut interner, &["const"]);
         let atom = pat(&mut interner, &["atom"]);
         let int = pat(&mut interner, &["int"]);
         let mut t = ExtensionTable::new(1);
         let idx = t.insert(0, any_arg, 1);
-        t.update_success(0, idx, konst, &mut interner, None);
+        t.update_success(0, idx, konst, &mut interner, scratch, None);
         t.clear_changed();
         // atom ⊑ const and int ⊑ const: neither grows the summary.
-        assert!(!t.update_success(0, idx, atom, &mut interner, None));
-        assert!(!t.update_success(0, idx, atom, &mut interner, None));
-        assert!(!t.update_success(0, idx, int, &mut interner, None));
+        assert!(!t.update_success(0, idx, atom, &mut interner, scratch, None));
+        assert!(!t.update_success(0, idx, atom, &mut interner, scratch, None));
+        assert!(!t.update_success(0, idx, int, &mut interner, scratch, None));
         assert!(!t.changed());
         assert_eq!(t.entry(0, idx).success, Some(konst));
         let istats = interner.stats();
@@ -574,6 +580,7 @@ mod tests {
     #[test]
     fn provenance_records_insert_context_and_lub_chain() {
         let mut interner = SessionInterner::default();
+        let scratch = &mut LubScratch::default();
         let any_arg = pat(&mut interner, &["any"]);
         let parent = pat(&mut interner, &["glist"]);
         let atom = pat(&mut interner, &["atom"]);
@@ -591,9 +598,9 @@ mod tests {
             Some(parent),
             2,
         );
-        t.update_success(1, idx, atom, &mut interner, Some((0, 2)));
-        t.update_success(1, idx, atom, &mut interner, Some((0, 2))); // no-op
-        t.update_success(1, idx, int, &mut interner, Some((1, 3)));
+        t.update_success(1, idx, atom, &mut interner, scratch, Some((0, 2)));
+        t.update_success(1, idx, atom, &mut interner, scratch, Some((0, 2))); // no-op
+        t.update_success(1, idx, int, &mut interner, scratch, Some((1, 3)));
         let d = t.derivation(1, idx).unwrap();
         assert_eq!(d.origin, Some(DerivationOrigin { pred: 0, clause: 3 }));
         assert_eq!(d.created_iter, 2);
@@ -638,18 +645,19 @@ mod tests {
     #[test]
     fn find_subsuming_uses_the_order() {
         let mut interner = SessionInterner::default();
+        let scratch = &mut LubScratch::default();
         let any = pat(&mut interner, &["any"]);
         let g = pat(&mut interner, &["g"]);
         let atom = pat(&mut interner, &["atom"]);
         let mut t = ExtensionTable::new(1);
         let idx = t.insert(0, any, 1);
         // atom ⊑ any: subsumed by the memoized entry.
-        assert_eq!(t.find_subsuming(0, atom, &mut interner), Some(idx));
-        assert_eq!(t.find_subsuming(0, g, &mut interner), Some(idx));
+        assert_eq!(t.find_subsuming(0, atom, &mut interner, scratch), Some(idx));
+        assert_eq!(t.find_subsuming(0, g, &mut interner, scratch), Some(idx));
         // The probe warmed the leq cache.
         assert!(interner.stats().leq_calls > 0);
         let mut narrow = ExtensionTable::new(1);
         narrow.insert(0, atom, 1);
-        assert_eq!(narrow.find_subsuming(0, any, &mut interner), None);
+        assert_eq!(narrow.find_subsuming(0, any, &mut interner, scratch), None);
     }
 }

@@ -2,7 +2,7 @@
 //! through the interner, plus randomized checks that the session
 //! interner's memoized lattice operations agree with direct computation.
 
-use absdom::{AbsLeaf, PNode, Pattern, SessionInterner};
+use absdom::{AbsLeaf, LubScratch, PNode, Pattern, PatternBuilder, SessionInterner};
 use awam_core::Analyzer;
 
 #[test]
@@ -59,30 +59,33 @@ impl Rng {
 /// A random small pattern: leaves, integers, nil, lists, structs.
 fn random_pattern(rng: &mut Rng, arity: usize) -> Pattern {
     let mut interner = prolog_syntax::Interner::new();
-    let mut nodes = Vec::new();
-    let roots = (0..arity)
-        .map(|_| random_node(rng, 2, &mut nodes, &mut interner))
-        .collect();
-    Pattern::new(nodes, roots)
+    let mut graph = PatternBuilder::new(arity);
+    for i in 0..arity {
+        let root = random_node(rng, 2, &mut graph, &mut interner);
+        graph.set_root(i, root);
+    }
+    Pattern::new(graph)
 }
 
 fn random_node(
     rng: &mut Rng,
     depth: usize,
-    nodes: &mut Vec<PNode>,
+    graph: &mut PatternBuilder,
     interner: &mut prolog_syntax::Interner,
 ) -> usize {
     let node = if depth > 0 && rng.below(3) == 0 {
         if rng.below(2) == 0 {
-            let e = random_node(rng, depth - 1, nodes, interner);
+            let e = random_node(rng, depth - 1, graph, interner);
             PNode::List(e)
         } else {
             let f = interner.intern(if rng.below(2) == 0 { "f" } else { "g" });
             let n = 1 + rng.below(2) as usize;
-            let args = (0..n)
-                .map(|_| random_node(rng, depth - 1, nodes, interner))
-                .collect();
-            PNode::Struct(f, args)
+            let (id, span) = graph.push_struct(f, n);
+            for i in 0..n {
+                let arg = random_node(rng, depth - 1, graph, interner);
+                graph.set_arg(span, i, arg);
+            }
+            return id;
         }
     } else {
         match rng.below(3) {
@@ -91,14 +94,14 @@ fn random_node(
             _ => PNode::Atom(absdom::nil_symbol()),
         }
     };
-    nodes.push(node);
-    nodes.len() - 1
+    graph.push(node)
 }
 
 #[test]
 fn memoized_lattice_ops_agree_with_direct_computation() {
     let mut rng = Rng::new(0xE71D_2026);
     let mut session = SessionInterner::default();
+    let scratch = &mut LubScratch::default();
     for round in 0..500 {
         let arity = 1 + rng.below(3) as usize;
         let a = random_pattern(&mut rng, arity);
@@ -113,19 +116,19 @@ fn memoized_lattice_ops_agree_with_direct_computation() {
         // second answer comes from the cache.
         let direct = a.lub(&b);
         for pass in 0..2 {
-            let joined = session.lub(ia, ib);
+            let joined = session.lub(ia, ib, scratch);
             assert_eq!(
                 session.resolve(joined),
                 &direct,
                 "round {round} pass {pass}: lub mismatch"
             );
             assert_eq!(
-                session.leq(ia, ib),
+                session.leq(ia, ib, scratch),
                 a.leq(&b),
                 "round {round} pass {pass}: leq mismatch"
             );
             assert_eq!(
-                session.leq(ib, ia),
+                session.leq(ib, ia, scratch),
                 b.leq(&a),
                 "round {round} pass {pass}: reversed leq mismatch"
             );

@@ -258,8 +258,8 @@ fn dead_branches(entries: &[(Pattern, Option<Pattern>)]) -> usize {
                 con_live = true; // [] is a constant
                 lis_live = true;
             }
-            PNode::Struct(f, args) => {
-                if absdom::is_dot_symbol(*f) && args.len() == 2 {
+            PNode::Struct(f, span) => {
+                if absdom::is_dot_symbol(*f) && span.len() == 2 {
                     lis_live = true;
                 } else {
                     str_live = true;
@@ -297,7 +297,7 @@ fn determinate(
         }
         let target = match cp.node(cp.root(0)) {
             PNode::Atom(_) | PNode::Int(_) => *con,
-            PNode::Struct(f, args) if absdom::is_dot_symbol(*f) && args.len() == 2 => *lis,
+            PNode::Struct(f, span) if absdom::is_dot_symbol(*f) && span.len() == 2 => *lis,
             PNode::Struct(..) => *str_,
             PNode::List(_) => return false, // [] or cons: two targets
             PNode::Leaf(_) => return false,
@@ -404,7 +404,7 @@ fn head_may_match(clause: &prolog_syntax::Clause, cp: &Pattern) -> bool {
             (Term::Int(i), PNode::Int(j)) => i == j,
             (Term::Int(_), PNode::Atom(_) | PNode::List(_) | PNode::Struct(..)) => false,
             (Term::Int(_), PNode::Leaf(l)) => l.admits_integer(),
-            (Term::Struct(f, sub), PNode::Struct(g, nodes)) => f == g && sub.len() == nodes.len(),
+            (Term::Struct(f, sub), PNode::Struct(g, span)) => f == g && sub.len() == span.len(),
             (Term::Struct(f, sub), PNode::List(_)) => absdom::is_dot_symbol(*f) && sub.len() == 2,
             (Term::Struct(..), PNode::Atom(_) | PNode::Int(_)) => false,
             (Term::Struct(f, sub), PNode::Leaf(l)) => {

@@ -366,7 +366,9 @@ struct PoolShard {
 }
 
 struct PoolInner {
-    pools: HashMap<(String, u64), Vec<SessionParts>>,
+    /// Tenant → program fingerprint → parked sessions. Keyed by tenant
+    /// first so a lookup borrows the tenant instead of cloning it.
+    pools: HashMap<String, HashMap<u64, Vec<SessionParts>>>,
     /// The shard's `session_pool_*` counts.
     stats: ServeStats,
 }
@@ -425,11 +427,10 @@ impl SessionPool {
             .inner
             .lock()
             .expect("pool shard poisoned");
-        // Borrow-friendly lookup without cloning the tenant string on
-        // the (common) hit path.
         let parts = inner
             .pools
-            .get_mut(&(tenant.to_owned(), hash))
+            .get_mut(tenant)
+            .and_then(|programs| programs.get_mut(&hash))
             .and_then(Vec::pop);
         match parts {
             Some(p) => {
@@ -451,7 +452,12 @@ impl SessionPool {
             .inner
             .lock()
             .expect("pool shard poisoned");
-        let pool = inner.pools.entry((tenant.to_owned(), hash)).or_default();
+        // Only a tenant new to this shard pays for a key string.
+        let programs = match inner.pools.get_mut(tenant) {
+            Some(programs) => programs,
+            None => inner.pools.entry(tenant.to_owned()).or_default(),
+        };
+        let pool = programs.entry(hash).or_default();
         if pool.len() < self.max_per_key {
             pool.push(parts);
         }
@@ -463,7 +469,10 @@ impl SessionPool {
     pub fn purge_program(&self, hash: u64) {
         for shard in self.shards.iter() {
             let mut inner = shard.inner.lock().expect("pool shard poisoned");
-            inner.pools.retain(|(_, h), _| *h != hash);
+            inner.pools.retain(|_, programs| {
+                programs.remove(&hash);
+                !programs.is_empty()
+            });
         }
     }
 
@@ -475,18 +484,12 @@ impl SessionPool {
         let mut taken = Vec::new();
         for shard in self.shards.iter() {
             let mut inner = shard.inner.lock().expect("pool shard poisoned");
-            let keys: Vec<(String, u64)> = inner
-                .pools
-                .keys()
-                .filter(|(_, h)| *h == hash)
-                .cloned()
-                .collect();
-            for key in keys {
-                if let Some(parked) = inner.pools.remove(&key) {
-                    let (tenant, _) = key;
+            inner.pools.retain(|tenant, programs| {
+                if let Some(parked) = programs.remove(&hash) {
                     taken.extend(parked.into_iter().map(|p| (tenant.clone(), p)));
                 }
-            }
+                !programs.is_empty()
+            });
         }
         taken
     }
@@ -497,7 +500,12 @@ impl SessionPool {
         let mut stats = ServeStats::default();
         for shard in self.shards.iter() {
             let inner = shard.inner.lock().expect("pool shard poisoned");
-            parked += inner.pools.values().map(Vec::len).sum::<usize>();
+            parked += inner
+                .pools
+                .values()
+                .flat_map(HashMap::values)
+                .map(Vec::len)
+                .sum::<usize>();
             stats.merge(&inner.stats);
         }
         (parked, stats)

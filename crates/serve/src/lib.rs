@@ -40,5 +40,5 @@ pub use cache::{ProgramCache, SessionPool};
 pub use client::Client;
 pub use loadgen::{run_loadgen, LoadgenConfig};
 pub use protocol::{parse_request, GoalSpec, ProgramRef, Request};
-pub use server::{ServeConfig, Server, ServerHandle};
+pub use server::{ServeConfig, Server, ServerHandle, MAX_LINE_BYTES};
 pub use stats::{ConnStats, ConnStatsHandle, StatsRegistry};

@@ -51,7 +51,7 @@ use awam_core::{migrate_parts, par_map, Analysis, AnalysisError, Analyzer, Sessi
 use awam_obs::{envelope, InvalidationStats, Json};
 use prolog_syntax::parse_program;
 use std::collections::HashMap;
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -400,9 +400,61 @@ fn record_latency(conn: &ConnShared, gated: bool, received: Instant) {
 }
 
 /// True when the reader's buffer already holds a complete request line,
-/// i.e. the next `read_line` cannot block on the socket.
+/// i.e. the next line read cannot block on the socket.
 fn buffered_line(reader: &BufReader<TcpStream>) -> bool {
     reader.buffer().contains(&b'\n')
+}
+
+/// The most bytes a request line may hold before its newline: far above
+/// any program source a client registers, and the bound on what one
+/// line can make a connection's reader hold. A longer line is answered
+/// with one `bad_request` and skipped; the connection keeps serving.
+pub const MAX_LINE_BYTES: usize = 8 << 20;
+
+/// What [`read_line`] found.
+enum Line {
+    /// The peer closed the connection.
+    Eof,
+    /// A line (its newline included, unless the input ended first).
+    Complete,
+    /// More than [`MAX_LINE_BYTES`] without a newline; the rest of the
+    /// line is still unread.
+    Oversized,
+}
+
+/// Read one request line into `line` (cleared first), at most
+/// [`MAX_LINE_BYTES`] and its newline.
+fn read_line(reader: &mut BufReader<TcpStream>, line: &mut Vec<u8>) -> io::Result<Line> {
+    line.clear();
+    let limit = MAX_LINE_BYTES as u64 + 1;
+    if reader.by_ref().take(limit).read_until(b'\n', line)? == 0 {
+        return Ok(Line::Eof);
+    }
+    if line.len() > MAX_LINE_BYTES && line.last() != Some(&b'\n') {
+        return Ok(Line::Oversized);
+    }
+    Ok(Line::Complete)
+}
+
+/// Skip input through the next newline (or the end of input), holding
+/// no more than the reader's own buffer.
+fn discard_line(reader: &mut BufReader<TcpStream>) -> io::Result<()> {
+    loop {
+        let buf = reader.fill_buf()?;
+        if buf.is_empty() {
+            return Ok(());
+        }
+        match buf.iter().position(|&b| b == b'\n') {
+            Some(end) => {
+                reader.consume(end + 1);
+                return Ok(());
+            }
+            None => {
+                let len = buf.len();
+                reader.consume(len);
+            }
+        }
+    }
 }
 
 fn handle_connection(state: &Arc<ServerState>, stream: TcpStream) {
@@ -421,7 +473,7 @@ fn handle_connection(state: &Arc<ServerState>, stream: TcpStream) {
         dead: AtomicBool::new(false),
     });
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut line = Vec::new();
     // Reset-not-free: the reader's serialization buffer for inline
     // responses, reused across the connection's lifetime.
     let mut scratch = String::new();
@@ -444,16 +496,38 @@ fn handle_connection(state: &Arc<ServerState>, stream: TcpStream) {
                 }
             }
         }
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) | Err(_) => break,
-            Ok(_) => {}
+        match read_line(&mut reader, &mut line) {
+            Ok(Line::Eof) | Err(_) => break,
+            Ok(Line::Complete) => {}
+            Ok(Line::Oversized) => {
+                // Answered like a malformed line, in order; then the
+                // rest of the line is dropped unread and the large
+                // buffer released.
+                conn.stats.with(|s| s.serve.requests += 1);
+                conn.drain();
+                let response = protocol::error_response(
+                    "bad_request",
+                    &format!("request line longer than {MAX_LINE_BYTES} bytes"),
+                    None,
+                );
+                count_response(&conn, &response);
+                write_response(&conn, &response, &mut scratch, true);
+                line = Vec::new();
+                if discard_line(&mut reader).is_err() {
+                    break;
+                }
+                continue;
+            }
         }
-        if line.trim().is_empty() {
+        // A line that is not UTF-8 ends the connection.
+        let Ok(text) = std::str::from_utf8(&line) else {
+            break;
+        };
+        if text.trim().is_empty() {
             continue;
         }
         let received = Instant::now();
-        let env = match parse_request(&line) {
+        let env = match parse_request(text) {
             Ok(env) => env,
             Err(bad) => {
                 // Malformed lines are barriers like any other un-id'd

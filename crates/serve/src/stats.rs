@@ -15,11 +15,12 @@
 //! Lifecycle: a connection registers a [`ConnStatsHandle`] on accept;
 //! when the connection (and every in-flight worker job borrowing it)
 //! finishes, the handle's drop folds the block into the registry's
-//! `retired` accumulator so completed traffic is never lost. The
-//! registry holds weak references and prunes dead entries lazily.
+//! `retired` accumulator so completed traffic is never lost. Retiring
+//! and snapshotting take the same registry lock, so a snapshot counts
+//! every connection exactly once, even one that is closing.
 
 use awam_obs::{Histogram, ServeStats};
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// One connection's slice of the serve counters plus its latency
 /// histogram (microseconds, analyze/batch requests only).
@@ -39,18 +40,27 @@ impl ConnStats {
 }
 
 struct HandleInner {
-    stats: Mutex<ConnStats>,
-    registry: Arc<RegistryInner>,
+    /// The connection's block, also held by the registry's live list
+    /// until this handle retires it.
+    stats: Arc<Mutex<ConnStats>>,
+    registry: Arc<Mutex<Registry>>,
 }
 
 impl Drop for HandleInner {
     fn drop(&mut self) {
-        let finished = self.stats.get_mut().expect("conn stats poisoned");
-        self.registry
-            .retired
-            .lock()
-            .expect("retired stats poisoned")
-            .merge(finished);
+        // Retire under the registry lock: a snapshot sees this block
+        // either live or retired, never neither and never both. Merging
+        // only adds counters, so a poisoned lock still holds valid ones.
+        let mut registry = self.registry.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(i) = registry
+            .live
+            .iter()
+            .position(|block| Arc::ptr_eq(block, &self.stats))
+        {
+            registry.live.swap_remove(i);
+        }
+        let finished = self.stats.lock().unwrap_or_else(PoisonError::into_inner);
+        registry.retired.merge(&finished);
     }
 }
 
@@ -68,14 +78,17 @@ impl ConnStatsHandle {
     }
 }
 
-struct RegistryInner {
-    live: Mutex<Vec<Weak<HandleInner>>>,
-    retired: Mutex<ConnStats>,
+/// The live blocks and the retired total, under one lock (taken before
+/// any block's own lock).
+#[derive(Default)]
+struct Registry {
+    live: Vec<Arc<Mutex<ConnStats>>>,
+    retired: ConnStats,
 }
 
 /// The daemon-wide registry of per-connection stats blocks.
 pub struct StatsRegistry {
-    inner: Arc<RegistryInner>,
+    inner: Arc<Mutex<Registry>>,
 }
 
 impl Default for StatsRegistry {
@@ -88,43 +101,33 @@ impl StatsRegistry {
     /// An empty registry.
     pub fn new() -> StatsRegistry {
         StatsRegistry {
-            inner: Arc::new(RegistryInner {
-                live: Mutex::new(Vec::new()),
-                retired: Mutex::new(ConnStats::default()),
-            }),
+            inner: Arc::new(Mutex::new(Registry::default())),
         }
     }
 
     /// Register a new connection's stats block. Called once per accept;
     /// never on the request path.
     pub fn register(&self) -> ConnStatsHandle {
-        let handle = Arc::new(HandleInner {
-            stats: Mutex::new(ConnStats::default()),
-            registry: Arc::clone(&self.inner),
-        });
-        let mut live = self.inner.live.lock().expect("registry poisoned");
-        // Prune retired connections while we hold the lock anyway, so
-        // the vector tracks live connections rather than all-time
-        // accepts.
-        live.retain(|w| w.strong_count() > 0);
-        live.push(Arc::downgrade(&handle));
-        ConnStatsHandle { inner: handle }
+        let stats = Arc::new(Mutex::new(ConnStats::default()));
+        self.inner
+            .lock()
+            .expect("stats registry poisoned")
+            .live
+            .push(Arc::clone(&stats));
+        ConnStatsHandle {
+            inner: Arc::new(HandleInner {
+                stats,
+                registry: Arc::clone(&self.inner),
+            }),
+        }
     }
 
     /// Merge retired + live connection counters into one snapshot.
     pub fn snapshot(&self) -> ConnStats {
-        let mut total = self
-            .inner
-            .retired
-            .lock()
-            .expect("retired stats poisoned")
-            .clone();
-        let live: Vec<Weak<HandleInner>> =
-            self.inner.live.lock().expect("registry poisoned").clone();
-        for weak in live {
-            if let Some(handle) = weak.upgrade() {
-                total.merge(&handle.stats.lock().expect("conn stats poisoned"));
-            }
+        let registry = self.inner.lock().expect("stats registry poisoned");
+        let mut total = registry.retired.clone();
+        for block in &registry.live {
+            total.merge(&block.lock().expect("conn stats poisoned"));
         }
         total
     }

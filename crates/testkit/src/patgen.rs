@@ -7,7 +7,7 @@
 //! test.
 
 use crate::rng::Rng;
-use absdom::{AbsLeaf, PNode, Pattern};
+use absdom::{AbsLeaf, PNode, Pattern, PatternBuilder};
 use prolog_syntax::{Interner, Term, VarId};
 use std::collections::HashMap;
 
@@ -24,30 +24,33 @@ pub fn random_pattern_n(
     depth: usize,
     interner: &mut Interner,
 ) -> Pattern {
-    let mut nodes = Vec::new();
-    let roots = (0..arity)
-        .map(|_| random_node(rng, depth, &mut nodes, interner))
-        .collect();
-    Pattern::new(nodes, roots)
+    let mut graph = PatternBuilder::new(arity);
+    for i in 0..arity {
+        let root = random_node(rng, depth, &mut graph, interner);
+        graph.set_root(i, root);
+    }
+    Pattern::new(graph)
 }
 
 fn random_node(
     rng: &mut Rng,
     depth: usize,
-    nodes: &mut Vec<PNode>,
+    graph: &mut PatternBuilder,
     interner: &mut Interner,
 ) -> usize {
     let node = if depth > 0 && rng.below(3) == 0 {
         if rng.below(2) == 0 {
-            let e = random_node(rng, depth - 1, nodes, interner);
+            let e = random_node(rng, depth - 1, graph, interner);
             PNode::List(e)
         } else {
             let f = interner.intern(if rng.below(2) == 0 { "f" } else { "g" });
             let n = 1 + rng.below(2) as usize;
-            let args = (0..n)
-                .map(|_| random_node(rng, depth - 1, nodes, interner))
-                .collect();
-            PNode::Struct(f, args)
+            let (id, span) = graph.push_struct(f, n);
+            for i in 0..n {
+                let arg = random_node(rng, depth - 1, graph, interner);
+                graph.set_arg(span, i, arg);
+            }
+            return id;
         }
     } else {
         match rng.below(3) {
@@ -56,8 +59,7 @@ fn random_node(
             _ => PNode::Atom(absdom::nil_symbol()),
         }
     };
-    nodes.push(node);
-    nodes.len() - 1
+    graph.push(node)
 }
 
 /// A concrete term in γ(node `id` of `p`) — a random instance covered by
@@ -82,10 +84,10 @@ pub fn gamma_instance(
         PNode::Leaf(l) => instance_of_leaf(*l, interner, rng, var_base),
         PNode::Int(i) => Term::Int(*i),
         PNode::Atom(a) => Term::Atom(*a),
-        PNode::Struct(f, args) => {
-            let args = args
-                .iter()
-                .map(|&a| gamma_instance(p, a, interner, rng, var_base, shared))
+        PNode::Struct(f, span) => {
+            let args = p
+                .args(*span)
+                .map(|a| gamma_instance(p, a, interner, rng, var_base, shared))
                 .collect();
             Term::Struct(*f, args)
         }

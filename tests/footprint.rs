@@ -1,0 +1,163 @@
+//! Heap footprint of what a serving daemon keeps: a parked session
+//! ([`SessionParts`]) and the patterns its interner holds, counted
+//! exactly by a counting global allocator.
+//!
+//! The counters are const-initialized thread-locals, so tests running on
+//! parallel threads do not see each other's allocations. What a value
+//! *holds* is what dropping it frees: the bytes and blocks released
+//! between two reads of the counters around the `drop`.
+
+use awam::absdom::{Pattern, PatternInterner};
+use awam::analysis::SessionParts;
+use awam::testkit::{gen_program, GenConfig, Rng};
+use awam::Analyzer;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    /// Live heap bytes allocated by this thread (net of its frees).
+    static BYTES: Cell<i64> = const { Cell::new(0) };
+    /// Live heap blocks allocated by this thread (net of its frees).
+    static BLOCKS: Cell<i64> = const { Cell::new(0) };
+}
+
+fn count(bytes: i64, blocks: i64) {
+    // `try_with`: the allocator can run while the thread's locals are
+    // being torn down; those calls are simply not counted.
+    let _ = BYTES.try_with(|b| b.set(b.get() + bytes));
+    let _ = BLOCKS.try_with(|b| b.set(b.get() + blocks));
+}
+
+struct Counting;
+
+// SAFETY: every call is forwarded to `System` unchanged; the counters
+// are side effects on plain thread-local cells that never allocate.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count(layout.size() as i64, 1);
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        count(-(layout.size() as i64), -1);
+        // SAFETY: `ptr` came from `System` with this layout.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count(new_size as i64 - layout.size() as i64, 0);
+        // SAFETY: `ptr` came from `System` with this layout.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// `(bytes, blocks)` currently live on this thread.
+fn live() -> (i64, i64) {
+    (BYTES.with(Cell::get), BLOCKS.with(Cell::get))
+}
+
+/// The heap bytes and blocks `value` holds: what dropping it frees.
+fn held<T>(value: T) -> (i64, i64) {
+    let before = live();
+    drop(value);
+    let after = live();
+    (before.0 - after.0, before.1 - after.1)
+}
+
+/// The parked session after one query of `goal` with `specs`.
+fn parked(analyzer: &Analyzer, goal: &str, specs: &[&str]) -> SessionParts {
+    let mut session = analyzer.session();
+    session.analyze_query(goal, specs).expect("analysis runs");
+    session.into_parts()
+}
+
+fn suite_analyzer(name: &str) -> (Analyzer, awam::suite::Benchmark) {
+    let b = awam::suite::by_name(name).expect("Table 1 program");
+    let analyzer = Analyzer::compile(&b.parse().expect("parses")).expect("compiles");
+    (analyzer, b)
+}
+
+/// Bounds on a parked Table 1 session, in bytes and blocks.
+fn check_suite_session(name: &str, max_bytes: i64, max_blocks: i64) {
+    let (analyzer, b) = suite_analyzer(name);
+    let (bytes, blocks) = held(parked(&analyzer, b.entry, b.entry_specs));
+    eprintln!("{name}: parked session holds {bytes} B in {blocks} blocks");
+    assert!(
+        bytes <= max_bytes && blocks <= max_blocks,
+        "{name}: parked session holds {bytes} B in {blocks} blocks \
+         (bounds {max_bytes} B, {max_blocks} blocks)"
+    );
+}
+
+// Bounds: 24,448 B in 166 blocks and 135,405 B in 646 blocks when
+// written; 85,652 B in 480 blocks and 291,388 B in 2,087 blocks before
+// the memo tables grew on demand and patterns became two blocks.
+
+#[test]
+fn parked_nreverse_session_is_small() {
+    check_suite_session("nreverse", 30_000, 180);
+}
+
+#[test]
+fn parked_zebra_session_is_small() {
+    check_suite_session("zebra", 150_000, 700);
+}
+
+/// One program of the serving corpus: a seeded testkit program drawn
+/// with the default generator settings, queried at `p0` with all-`any`
+/// (1,041 B in 14 blocks when written; 41,268 B before).
+#[test]
+fn parked_testkit_session_is_small() {
+    let generated = gen_program(&mut Rng::new(3), &GenConfig::default());
+    let program = awam::syntax::parse_program(&generated.source()).expect("parses");
+    let analyzer = Analyzer::compile(&program).expect("compiles");
+    let specs = vec!["any"; generated.entry_arity()];
+    let (bytes, blocks) = held(parked(&analyzer, "p0", &specs));
+    eprintln!("testkit seed 3: parked session holds {bytes} B in {blocks} blocks");
+    assert!(
+        bytes <= 2_000 && blocks <= 20,
+        "testkit seed 3: parked session holds {bytes} B in {blocks} blocks"
+    );
+}
+
+/// A pattern is two heap blocks (its node slab and its argument slab),
+/// and interning one adds nothing else per pattern: no bucket vector.
+#[test]
+fn every_interned_pattern_costs_two_blocks() {
+    for name in ["nreverse", "zebra", "serialise", "query"] {
+        let (analyzer, b) = suite_analyzer(name);
+        let entry = Pattern::from_spec(b.entry_specs).expect("specs");
+        let analysis = analyzer.analyze(b.entry, &entry).expect("analysis runs");
+        let mut patterns: Vec<Pattern> = analysis
+            .predicates
+            .iter()
+            .flat_map(|p| &p.entries)
+            .flat_map(|(call, success)| std::iter::once(call).chain(success))
+            .filter(|p| p.arity() > 0)
+            .cloned()
+            .collect();
+        patterns.sort();
+        patterns.dedup();
+        for p in &patterns {
+            assert_eq!(held(p.clone()).1, 2, "{name}: {p:?}");
+        }
+        // The arena, groundness, chain and index tables exist after the
+        // first intern; every distinct pattern after that adds its own
+        // two blocks (growth reallocates or swaps a table, never adds
+        // one).
+        let mut interner = PatternInterner::new();
+        interner.intern(patterns[0].clone());
+        let before = live();
+        for p in &patterns[1..] {
+            let (_, hit) = interner.intern(p.clone());
+            assert!(!hit, "{name}: patterns were deduplicated");
+        }
+        let blocks = live().1 - before.1;
+        let fresh = patterns.len() as i64 - 1;
+        assert_eq!(blocks, 2 * fresh, "{name}: {fresh} patterns interned");
+    }
+}

@@ -123,36 +123,40 @@ fn incremental_edit_and_undo_match_golden() {
 /// list cells, then canonicalized.
 fn aliased_pattern(rng: &mut Rng, interner: &mut Interner) -> Pattern {
     let arity = 1 + rng.below(3) as usize;
-    let (mut nodes, mut roots) = random_pattern_n(rng, arity, 3, interner).into_parts();
-    let n = nodes.len();
+    let p = random_pattern_n(rng, arity, 3, interner);
+    let n = p.nodes().len();
     let atoms = [interner.intern("g"), interner.intern("a"), interner.dot()];
-    for (i, node) in nodes.iter_mut().enumerate() {
+    let mut graph = p.clone().into_builder();
+    for (i, &node) in p.nodes().iter().enumerate() {
         match node {
-            PNode::Struct(f, args) => {
-                if args.len() == 2 && rng.below(3) == 0 {
-                    *f = atoms[2];
+            PNode::Struct(_, span) => {
+                if span.len() == 2 && rng.below(3) == 0 {
+                    graph.set(i, PNode::Struct(atoms[2], span));
                 }
-                for arg in args.iter_mut() {
+                for k in 0..span.len() {
                     if i + 1 < n && rng.below(3) == 0 {
-                        *arg = i + 1 + rng.below((n - i - 1) as u64) as usize;
+                        graph.set_arg(span, k, i + 1 + rng.below((n - i - 1) as u64) as usize);
                     }
                 }
             }
-            PNode::List(e) if i + 1 < n && rng.below(3) == 0 => {
-                *e = i + 1 + rng.below((n - i - 1) as u64) as usize;
+            PNode::List(_) if i + 1 < n && rng.below(3) == 0 => {
+                graph.set(
+                    i,
+                    PNode::List(i + 1 + rng.below((n - i - 1) as u64) as usize),
+                );
             }
             PNode::Leaf(_) if rng.below(8) == 0 => {
-                *node = PNode::Atom(atoms[rng.below(2) as usize]);
+                graph.set(i, PNode::Atom(atoms[rng.below(2) as usize]));
             }
             _ => {}
         }
     }
-    for root in &mut roots {
+    for i in 0..arity {
         if rng.below(3) == 0 {
-            *root = rng.below(n as u64) as usize;
+            graph.set_root(i, rng.below(n as u64) as usize);
         }
     }
-    Pattern::new(nodes, roots)
+    Pattern::new(graph)
 }
 
 #[test]

@@ -62,11 +62,37 @@ fn check(query: &str, entry: &str, specs: &[&str], out_var: &str) {
         .iter()
         .position(|s| *s == "var")
         .expect("one output position");
-    let single = absdom::Pattern::new(summary.nodes().to_vec(), vec![summary.root(out_idx)]);
+    let single = project(&summary, out_idx);
     assert!(
         single.covers(std::slice::from_ref(&out_term)),
         "summary {single:?} does not cover concrete output of {query}"
     );
+}
+
+/// The one-argument pattern of argument `i` of `p` (its subgraph, with
+/// the sharing inside it).
+fn project(p: &absdom::Pattern, i: usize) -> absdom::Pattern {
+    use absdom::{PNode, PatternBuilder};
+    let mut graph = PatternBuilder::new(1);
+    let mut spans = Vec::new();
+    for &node in p.nodes() {
+        match node {
+            PNode::Struct(f, span) => {
+                let (_, new_span) = graph.push_struct(f, span.len());
+                spans.push((new_span, span));
+            }
+            _ => {
+                graph.push(node);
+            }
+        }
+    }
+    for (new_span, span) in spans {
+        for (k, a) in p.args(span).enumerate() {
+            graph.set_arg(new_span, k, a);
+        }
+    }
+    graph.set_root(0, p.root(i));
+    absdom::Pattern::new(graph)
 }
 
 #[test]

@@ -12,9 +12,12 @@
 //!    budget is rejected with the documented `over_budget` error
 //!    envelope, not a hang or a panic.
 
-use awam::serve::{Client, ServeConfig, Server};
+use awam::serve::{Client, ServeConfig, Server, MAX_LINE_BYTES};
 use awam::syntax::parse_program;
 use awam::{obs::Json, Analyzer};
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
+use std::time::Duration;
 
 const NREV: &str = "
     nrev([], []).
@@ -225,6 +228,78 @@ fn warm_sessions_reuse_the_memo_table_across_requests() {
         .analyze("other-tenant", &hash, "nrev", &["glist", "var"], true)
         .expect("other tenant");
     assert_eq!(other.get("warm").and_then(Json::as_bool), Some(false));
+    handle.shutdown();
+}
+
+/// A request line longer than [`MAX_LINE_BYTES`] costs its connection
+/// one `bad_request` and nothing more: the same connection then gets a
+/// normal `stats` reply, and another tenant's answers, served while the
+/// long line is still arriving, stay byte-identical.
+#[test]
+fn oversized_lines_are_refused_and_the_connection_keeps_serving() {
+    let handle = Server::bind("127.0.0.1:0", ServeConfig::default())
+        .expect("bind")
+        .spawn();
+    let addr = handle.addr().to_string();
+    let mut other = Client::connect(&addr).expect("connect");
+    let hash = other
+        .register("tenant-b", NREV)
+        .expect("register")
+        .get("program")
+        .and_then(Json::as_str)
+        .expect("hash")
+        .to_owned();
+    let request = format!(
+        r#"{{"op":"analyze","tenant":"tenant-b","program":"{hash}","goal":"nrev","entry":["glist","var"],"reuse":false}}"#
+    );
+    let analyze = |client: &mut Client| -> String {
+        client.send_line(&request).expect("send");
+        client.flush().expect("flush");
+        client.recv_line().expect("analyze response").to_owned()
+    };
+    let expected = analyze(&mut other);
+    assert!(expected.contains(r#""ok":true"#), "{expected}");
+
+    // One byte past the limit, no newline yet: the daemon answers as
+    // soon as the limit is crossed, then skips to the newline.
+    let mut sender = TcpStream::connect(&addr).expect("connect");
+    // A daemon that waits for the newline instead fails the test here.
+    sender
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    let mut replies = BufReader::new(sender.try_clone().expect("clone stream"));
+    let mut reply = String::new();
+    sender
+        .write_all("x".repeat(MAX_LINE_BYTES + 1).as_bytes())
+        .expect("send the oversized line");
+    replies.read_line(&mut reply).expect("bad_request response");
+    let refused = Json::parse(reply.trim_end()).expect("JSON response");
+    assert_eq!(refused.get("kind").and_then(Json::as_str), Some("error"));
+    let error = refused.get("error").expect("error object");
+    assert_eq!(
+        error.get("code").and_then(Json::as_str),
+        Some("bad_request")
+    );
+    assert!(error
+        .get("message")
+        .and_then(Json::as_str)
+        .expect("message")
+        .contains("longer than"));
+
+    // The other tenant is served while that line is still open...
+    for _ in 0..3 {
+        assert_eq!(analyze(&mut other), expected);
+    }
+    // ...and the refused connection serves its next line normally.
+    sender
+        .write_all(b"xxxx\n{\"op\":\"stats\"}\n")
+        .expect("end the line, then ask for stats");
+    reply.clear();
+    replies.read_line(&mut reply).expect("stats response");
+    let stats = Json::parse(reply.trim_end()).expect("JSON response");
+    assert_eq!(stats.get("kind").and_then(Json::as_str), Some("stats"));
+    assert!(stats.get("counters").is_some(), "{stats:?}");
+    assert_eq!(analyze(&mut other), expected);
     handle.shutdown();
 }
 
