@@ -954,30 +954,19 @@ fn leaf_covers(leaf: AbsLeaf, term: &Term) -> bool {
     }
 }
 
-/// The well-known `[]` and `'.'` symbols (fixed indices in every
-/// [`Interner`]).
-fn well_known() -> (Symbol, Symbol) {
-    static CELL: std::sync::OnceLock<(usize, usize)> = std::sync::OnceLock::new();
-    let &(nil, dot) = CELL.get_or_init(|| {
-        let i = Interner::new();
-        (i.nil().index(), i.dot().index())
-    });
-    (Symbol::from_index(nil), Symbol::from_index(dot))
-}
-
 /// The well-known `[]` symbol (fixed index in every [`Interner`]).
 pub fn nil_symbol() -> Symbol {
-    well_known().0
+    Symbol::NIL
 }
 
 /// The well-known `'.'` symbol (fixed index in every [`Interner`]).
 pub fn dot_symbol() -> Symbol {
-    well_known().1
+    Symbol::DOT
 }
 
 /// Whether `sym` is the well-known `'.'` symbol.
 pub fn is_dot_symbol(sym: Symbol) -> bool {
-    sym == well_known().1
+    sym == Symbol::DOT
 }
 
 fn is_nil_atom(term: &Term) -> bool {

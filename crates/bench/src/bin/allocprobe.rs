@@ -1,16 +1,31 @@
 //! Diagnostic: allocator traffic per cold analysis, and the heap a
-//! parked session holds, for every Table 1 program.
+//! built analyzer and a parked session hold, for every Table 1 program
+//! and for one program of the serving corpus.
 //!
 //! ```sh
 //! cargo run -p awam-bench --release --bin allocprobe
 //! ```
 //!
-//! One row per program: the `alloc` and `realloc` calls and the bytes
-//! they asked for in one cold `Analyzer::analyze` (the second of two
-//! identical runs, so one-time process set-up is not charged to it),
-//! and the bytes and blocks a parked session holds after one query —
-//! what dropping its `SessionParts` frees. Scratch-reuse and footprint
-//! regressions show up here as raw counts instead of a profile guess.
+//! One row per program:
+//!
+//! * `parse`, `compile`, `build` — the `alloc` calls `parse_program`,
+//!   `wam::compile_program` and `AnalyzerBuilder::build` make (the
+//!   second of two identical runs each);
+//! * `allocs`, `reallocs`, `bytes` — the `alloc` and `realloc` calls and
+//!   the bytes they asked for in one cold `Analyzer::analyze` (the
+//!   second of two identical runs, so one-time process set-up is not
+//!   charged to it);
+//! * `an_bytes`, `an_blocks` — what a built `Analyzer` holds (what
+//!   dropping it frees);
+//! * `sym_bytes`, `sym_blocks` — what a copy of its symbol table holds
+//!   (the same as the table itself once the build has shrunk it);
+//! * `parked_bytes`, `parked_blocks` — what a parked session holds after
+//!   one query: what dropping its `SessionParts` frees.
+//!
+//! The `corpus` row is the serving corpus's seed-3 testkit program
+//! (default generator settings), queried at `p0` with all-`any`.
+//! Scratch-reuse and footprint regressions show up here as raw counts
+//! instead of a profile guess.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
@@ -66,37 +81,88 @@ fn live() -> (i64, i64) {
     )
 }
 
+/// The heap `value` holds: what dropping it frees.
+fn held<T>(value: T) -> (i64, i64) {
+    let before = live();
+    drop(value);
+    let after = live();
+    (before.0 - after.0, before.1 - after.1)
+}
+
+/// `alloc` calls `f` makes on a fresh `input()` (run twice; the second
+/// run counts, and making its input does not).
+fn allocs_of<I, T>(input: impl Fn() -> I, f: impl Fn(I) -> T) -> (T, u64) {
+    drop(f(input()));
+    let arg = input();
+    let before = traffic().0;
+    let value = f(arg);
+    (value, traffic().0 - before)
+}
+
+fn probe(name: &str, source: &str, goal: &str, specs: &[&str]) {
+    let (program, parse) = allocs_of(
+        || source,
+        |s| prolog_syntax::parse_program(s).expect("parses"),
+    );
+    let (compiled, compile) =
+        allocs_of(|| &program, |p| wam::compile_program(p).expect("compiles"));
+    let builder = awam_core::Analyzer::builder();
+    let (analyzer, build) = allocs_of(|| compiled.clone(), |c| builder.build(c));
+    let entry = absdom::Pattern::from_spec(specs).expect("entry specs");
+
+    analyzer.analyze(goal, &entry).expect("analysis runs");
+    let before = traffic();
+    analyzer.analyze(goal, &entry).expect("analysis runs");
+    let after = traffic();
+
+    let mut session = analyzer.session();
+    session.analyze(goal, &entry).expect("analysis runs");
+    let parked = held(session.into_parts());
+    let symbols = held(analyzer.program().interner.clone());
+    let built = held(analyzer);
+
+    println!(
+        "{:<10} {:>6} {:>8} {:>6} {:>7} {:>8} {:>9} {:>9} {:>10} {:>9} {:>10} {:>12} {:>13}",
+        name,
+        parse,
+        compile,
+        build,
+        after.0 - before.0,
+        after.1 - before.1,
+        after.2 - before.2,
+        built.0,
+        built.1,
+        symbols.0,
+        symbols.1,
+        parked.0,
+        parked.1,
+    );
+}
+
 fn main() {
     println!(
-        "{:<10} {:>7} {:>8} {:>9} {:>12} {:>13}",
-        "program", "allocs", "reallocs", "bytes", "parked_bytes", "parked_blocks"
+        "{:<10} {:>6} {:>8} {:>6} {:>7} {:>8} {:>9} {:>9} {:>10} {:>9} {:>10} {:>12} {:>13}",
+        "program",
+        "parse",
+        "compile",
+        "build",
+        "allocs",
+        "reallocs",
+        "bytes",
+        "an_bytes",
+        "an_blocks",
+        "sym_bytes",
+        "sym_blocks",
+        "parked_bytes",
+        "parked_blocks"
     );
     for b in bench_suite::all() {
-        let program = b.parse().expect("Table 1 program parses");
-        let compiled = wam::compile_program(&program).expect("Table 1 program compiles");
-        let analyzer = awam_core::Analyzer::builder().build(compiled);
-        let entry = absdom::Pattern::from_spec(b.entry_specs).expect("entry specs");
-
-        analyzer.analyze(b.entry, &entry).expect("analysis runs");
-        let before = traffic();
-        analyzer.analyze(b.entry, &entry).expect("analysis runs");
-        let after = traffic();
-
-        let mut session = analyzer.session();
-        session.analyze(b.entry, &entry).expect("analysis runs");
-        let parts = session.into_parts();
-        let held = live();
-        drop(parts);
-        let freed = live();
-
-        println!(
-            "{:<10} {:>7} {:>8} {:>9} {:>12} {:>13}",
-            b.name,
-            after.0 - before.0,
-            after.1 - before.1,
-            after.2 - before.2,
-            held.0 - freed.0,
-            held.1 - freed.1,
-        );
+        probe(b.name, b.source, b.entry, b.entry_specs);
     }
+    let corpus = awam_testkit::gen_program(
+        &mut awam_testkit::Rng::new(3),
+        &awam_testkit::GenConfig::default(),
+    );
+    let specs = vec!["any"; corpus.entry_arity()];
+    probe("corpus", &corpus.source(), "p0", &specs);
 }

@@ -178,7 +178,13 @@ impl AnalyzerBuilder {
         } else {
             wam::fuse::unfuse_program(&mut program);
         }
-        let base_interner = Arc::new(seed_interner(&program));
+        // The analyzer is immutable from here on: keep its code area,
+        // symbol table and seed arena at exact size.
+        program.code.shrink_to_fit();
+        program.interner.shrink_to_fit();
+        let mut seed = seed_interner(&program);
+        seed.shrink_to_fit();
+        let base_interner = Arc::new(seed);
         Analyzer {
             program,
             depth_k: self.depth_k,
@@ -506,12 +512,14 @@ impl Analyzer {
     // ----- internals shared with Session -----
 
     /// Resolve an entry goal: look up the predicate, check the arity, and
-    /// weaken the pattern to this analyzer's domain configuration.
+    /// weaken the pattern to this analyzer's domain configuration. Every
+    /// analysis starts here (so does the panic-in-analyze fault).
     pub(crate) fn resolve_entry(
         &self,
         name: &str,
         entry: &Pattern,
     ) -> Result<(usize, Pattern), AnalysisError> {
+        crate::fault::maybe_panic_in_analyze();
         let pred = self.program.predicate(name, entry.arity()).ok_or_else(|| {
             AnalysisError::UnknownPredicate {
                 pred: format!("{name}/{}", entry.arity()),

@@ -32,6 +32,25 @@ pub fn skip_lub() -> bool {
     SKIP_LUB.load(Ordering::Relaxed)
 }
 
+/// When set, the next analysis to start (any [`crate::Analyzer`],
+/// [`crate::Session`] or incremental query) panics, and the switch turns
+/// itself off: a one-shot fault for checking that a server contains a
+/// panicking request. Not reachable from the CLI's `--fault`.
+static PANIC_IN_ANALYZE: AtomicBool = AtomicBool::new(false);
+
+/// Arm or disarm the one-shot panic-in-analyze fault: once armed, the
+/// next analysis to start panics and disarms it.
+pub fn set_panic_in_analyze(on: bool) {
+    PANIC_IN_ANALYZE.store(on, Ordering::Relaxed);
+}
+
+/// Panic if the panic-in-analyze fault is armed, disarming it first.
+pub(crate) fn maybe_panic_in_analyze() {
+    if PANIC_IN_ANALYZE.load(Ordering::Relaxed) && PANIC_IN_ANALYZE.swap(false, Ordering::Relaxed) {
+        panic!("injected fault: panic-in-analyze");
+    }
+}
+
 /// Parse a fault name from the CLI surface and enable it.
 ///
 /// # Errors

@@ -135,13 +135,14 @@ impl SessionParts {
     }
 
     /// Reassemble parts from a raw triple (inverse of
-    /// [`SessionParts::into_inner`]). Parked parts keep no spare arena
-    /// capacity.
+    /// [`SessionParts::into_inner`]). Parked parts keep no spare table
+    /// or arena capacity.
     pub(crate) fn from_inner(
-        table: ExtensionTable,
+        mut table: ExtensionTable,
         mut interner: SessionInterner,
         stats: SessionStats,
     ) -> SessionParts {
+        table.shrink_to_fit();
         interner.shrink_to_fit();
         SessionParts {
             table,

@@ -412,6 +412,20 @@ impl ExtensionTable {
     pub fn stats(&self) -> &TableStats {
         &self.stats
     }
+
+    /// Drop spare capacity: a parked table keeps only the entry,
+    /// dependency and index slots it fills (a no-op when nothing grew
+    /// since the last call).
+    pub(crate) fn shrink_to_fit(&mut self) {
+        for table in &mut self.preds {
+            table.entries.shrink_to_fit();
+            table.deps.shrink_to_fit();
+            for deps in &mut table.deps {
+                deps.shrink_to_fit();
+            }
+            table.index.shrink_to_fit();
+        }
+    }
 }
 
 #[cfg(test)]

@@ -20,6 +20,7 @@
 
 #![warn(missing_docs)]
 
+pub mod fxhash;
 pub mod interner;
 pub mod lexer;
 pub mod ops;

@@ -1,7 +1,5 @@
 //! The standard Prolog operator table.
 
-use std::collections::HashMap;
-
 /// Operator fixity and argument-priority constraints, as in ISO Prolog.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum OpType {
@@ -53,6 +51,9 @@ impl OpDef {
 
 /// The operator table: name → prefix and/or infix definitions.
 ///
+/// The table is fixed (there is no `op/3`), so it holds nothing: each
+/// lookup is a `match` on the name.
+///
 /// # Examples
 ///
 /// ```
@@ -61,26 +62,81 @@ impl OpDef {
 /// assert_eq!(table.infix(":-").unwrap().priority, 1200);
 /// assert!(table.prefix("\\+").is_some());
 /// ```
-#[derive(Clone, Debug)]
-pub struct OpTable {
-    prefix: HashMap<&'static str, OpDef>,
-    infix: HashMap<&'static str, OpDef>,
-}
+#[derive(Clone, Copy, Debug, Default)]
+pub struct OpTable;
 
 impl OpTable {
     /// The standard table (the usual Edinburgh/ISO core operators).
     pub fn standard() -> Self {
+        OpTable
+    }
+
+    /// The infix definition of `name`, if any.
+    pub fn infix(&self, name: &str) -> Option<OpDef> {
         use OpType::*;
-        let mut table = OpTable {
-            prefix: HashMap::new(),
-            infix: HashMap::new(),
+        let (priority, typ) = match name {
+            ":-" | "-->" => (1200, Xfx),
+            ";" => (1100, Xfy),
+            "->" => (1050, Xfy),
+            // `,` is handled by the parser directly (it is not an atom token)
+            "=" | "\\=" | "==" | "\\==" | "@<" | "@>" | "@=<" | "@>=" | "is" | "=:=" | "=\\="
+            | "<" | ">" | "=<" | ">=" | "=.." => (700, Xfx),
+            "+" | "-" | "/\\" | "\\/" | "xor" => (500, Yfx),
+            "*" | "/" | "//" | "mod" | "rem" | "div" | "<<" | ">>" => (400, Yfx),
+            "**" => (200, Xfx),
+            "^" => (200, Xfy),
+            _ => return None,
         };
+        Some(OpDef { priority, typ })
+    }
+
+    /// The prefix definition of `name`, if any.
+    pub fn prefix(&self, name: &str) -> Option<OpDef> {
+        use OpType::*;
+        let (priority, typ) = match name {
+            ":-" | "?-" => (1200, Fx),
+            "\\+" => (900, Fy),
+            "-" | "+" | "\\" => (200, Fy),
+            _ => return None,
+        };
+        Some(OpDef { priority, typ })
+    }
+
+    /// Whether `name` is an operator in any fixity.
+    pub fn is_operator(&self, name: &str) -> bool {
+        self.infix(name).is_some() || self.prefix(name).is_some()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn arg_priority_bounds() {
+        let t = OpTable::standard();
+        let neck = t.infix(":-").unwrap();
+        assert_eq!(neck.left_max(), 1199);
+        assert_eq!(neck.right_max(), 1199);
+        let semi = t.infix(";").unwrap();
+        assert_eq!(semi.left_max(), 1099);
+        assert_eq!(semi.right_max(), 1100);
+        let plus = t.infix("+").unwrap();
+        assert_eq!(plus.left_max(), 500);
+        assert_eq!(plus.right_max(), 499);
+        let neg = t.prefix("-").unwrap();
+        assert_eq!(neg.right_max(), 200);
+    }
+
+    #[test]
+    fn every_standard_operator_is_defined() {
+        use OpType::*;
+        let t = OpTable::standard();
         let infix: &[(&str, u32, OpType)] = &[
             (":-", 1200, Xfx),
             ("-->", 1200, Xfx),
             (";", 1100, Xfy),
             ("->", 1050, Xfy),
-            // `,` is handled by the parser directly (it is not an atom token)
             ("=", 700, Xfx),
             ("\\=", 700, Xfx),
             ("==", 700, Xfx),
@@ -122,54 +178,19 @@ impl OpTable {
             ("\\", 200, Fy),
         ];
         for &(name, priority, typ) in infix {
-            table.infix.insert(name, OpDef { priority, typ });
+            assert_eq!(t.infix(name), Some(OpDef { priority, typ }), "{name}");
         }
         for &(name, priority, typ) in prefix {
-            table.prefix.insert(name, OpDef { priority, typ });
+            assert_eq!(t.prefix(name), Some(OpDef { priority, typ }), "{name}");
         }
-        table
-    }
-
-    /// The infix definition of `name`, if any.
-    pub fn infix(&self, name: &str) -> Option<OpDef> {
-        self.infix.get(name).copied()
-    }
-
-    /// The prefix definition of `name`, if any.
-    pub fn prefix(&self, name: &str) -> Option<OpDef> {
-        self.prefix.get(name).copied()
-    }
-
-    /// Whether `name` is an operator in any fixity.
-    pub fn is_operator(&self, name: &str) -> bool {
-        self.infix.contains_key(name) || self.prefix.contains_key(name)
-    }
-}
-
-impl Default for OpTable {
-    fn default() -> Self {
-        OpTable::standard()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn arg_priority_bounds() {
-        let t = OpTable::standard();
-        let neck = t.infix(":-").unwrap();
-        assert_eq!(neck.left_max(), 1199);
-        assert_eq!(neck.right_max(), 1199);
-        let semi = t.infix(";").unwrap();
-        assert_eq!(semi.left_max(), 1099);
-        assert_eq!(semi.right_max(), 1100);
-        let plus = t.infix("+").unwrap();
-        assert_eq!(plus.left_max(), 500);
-        assert_eq!(plus.right_max(), 499);
-        let neg = t.prefix("-").unwrap();
-        assert_eq!(neg.right_max(), 200);
+        for name in [",", "|", "?-", "\\+", "\\", "dynamic", "", "isx"] {
+            let listed = infix.iter().any(|&(n, _, _)| n == name);
+            assert_eq!(t.infix(name).is_some(), listed, "infix {name}");
+        }
+        for name in [",", "=", "*", "is", "", "--"] {
+            let listed = prefix.iter().any(|&(n, _, _)| n == name);
+            assert_eq!(t.prefix(name).is_some(), listed, "prefix {name}");
+        }
     }
 
     #[test]

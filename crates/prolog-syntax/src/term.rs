@@ -288,6 +288,13 @@ mod tests {
     }
 
     #[test]
+    fn default_program_knows_the_well_known_atoms() {
+        let p = Program::default();
+        assert_eq!(p.interner.resolve(p.interner.nil()), "[]");
+        assert_eq!(p.interner.len(), Program::new().interner.len());
+    }
+
+    #[test]
     fn ground_detection() {
         let p = program("p(f(a, 1), X).");
         let head = &p.clauses[0].head;

@@ -29,7 +29,7 @@
 use awam_core::{Analyzer, SessionParts};
 use awam_obs::ServeStats;
 use std::collections::HashMap;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 /// Default shard count for both caches: enough to make cross-request
 /// lock collisions rare at realistic connection counts, small enough
@@ -61,7 +61,8 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// was waiting on the same in-flight compile.
 #[derive(Clone, Debug)]
 pub struct CompileFailed {
-    /// Protocol error code (`parse_error` or `compile_error`).
+    /// Protocol error code (`parse_error` or `compile_error`, or
+    /// `internal` when the leader's compile panicked).
     pub code: &'static str,
     /// Human-readable reason.
     pub message: String,
@@ -249,8 +250,11 @@ impl ProgramCache {
             };
         }
 
-        // This request is the compile leader. Compile with no lock held.
+        // This request is the compile leader. Compile with no lock held;
+        // if the compile unwinds, the guard fails the ticket.
+        let guard = LeaderGuard { shard, hash };
         let compiled = compile();
+        std::mem::forget(guard);
         let mut inner = shard.inner.lock().expect("cache shard poisoned");
         let pending = inner
             .pending
@@ -308,6 +312,38 @@ impl ProgramCache {
             self.shard_budget * self.shards.len(),
             stats,
         )
+    }
+}
+
+/// Held by a compile leader while its compile runs. Dropped only when
+/// the compile unwinds: it removes the leader's pending ticket and fails
+/// it, so waiters get an error instead of blocking forever and a later
+/// request compiles afresh.
+struct LeaderGuard<'a> {
+    shard: &'a Shard,
+    hash: u64,
+}
+
+impl Drop for LeaderGuard<'_> {
+    fn drop(&mut self) {
+        // Never panic while unwinding: take the locks even if poisoned.
+        let pending = self
+            .shard
+            .inner
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .pending
+            .remove(&self.hash);
+        if let Some(pending) = pending {
+            *pending
+                .result
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner) = Some(Err(CompileFailed {
+                code: "internal",
+                message: "the compile of this program panicked".to_owned(),
+            }));
+            pending.ready.notify_all();
+        }
     }
 }
 
@@ -459,6 +495,9 @@ impl SessionPool {
         };
         let pool = programs.entry(hash).or_default();
         if pool.len() < self.max_per_key {
+            // One slot per parked session: `push`'s first growth would
+            // reserve four, and most keys park one.
+            pool.reserve_exact(1);
             pool.push(parts);
         }
     }
@@ -643,6 +682,38 @@ mod tests {
             .expect("second attempt succeeds");
         assert!(compiled_now);
         assert!(Arc::ptr_eq(&analyzer, &cache.peek(99).expect("cached")));
+    }
+
+    #[test]
+    fn a_panicking_compile_leaves_no_ticket_behind() {
+        // At most 5 s for the second lookup: a leaked ticket would make
+        // it wait forever, so it runs on a thread the test can give up on.
+        let cache = Arc::new(ProgramCache::new(usize::MAX));
+        let (done, verdict) = std::sync::mpsc::channel();
+        let worker = Arc::clone(&cache);
+        std::thread::spawn(move || {
+            let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                worker.get_or_compile(42, || -> Result<(Arc<Analyzer>, usize), CompileFailed> {
+                    panic!("the compile blew up")
+                })
+            }))
+            .is_err();
+            let second = worker.get_or_compile(42, || {
+                let a = compiled(APP);
+                let bytes = approx_program_bytes(&a, APP.len());
+                Ok((a, bytes))
+            });
+            drop(done.send((unwound, second.map(|(_, _, compiled_now)| compiled_now))));
+        });
+        let (unwound, second) = verdict
+            .recv_timeout(std::time::Duration::from_secs(5))
+            .expect("the second get_or_compile returned within 5 s");
+        assert!(unwound, "the leader's panic reached its caller");
+        assert!(
+            matches!(second, Ok(true)),
+            "the second request compiled afresh"
+        );
+        assert!(cache.peek(42).is_some());
     }
 
     #[test]

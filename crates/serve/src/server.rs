@@ -53,6 +53,7 @@ use prolog_syntax::parse_program;
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
@@ -375,7 +376,7 @@ fn execute_job(job: Job, scratch: &mut String) {
         received,
         gated,
     } = job;
-    let response = execute_request(&state, &conn, env);
+    let response = execute_contained(&state, &conn, env);
     count_response(&conn, &response);
     record_latency(&conn, gated, received);
     write_response(&conn, &response, scratch, false);
@@ -611,7 +612,7 @@ fn handle_connection(state: &Arc<ServerState>, stream: TcpStream) {
                 // execute on the reader thread, after the pipeline
                 // drains so responses stay in arrival order.
                 conn.drain();
-                let response = execute_request(state, &conn, env);
+                let response = execute_contained(state, &conn, env);
                 count_response(&conn, &response);
                 record_latency(&conn, gated, received);
                 if gated {
@@ -624,6 +625,29 @@ fn handle_connection(state: &Arc<ServerState>, stream: TcpStream) {
     // Let in-flight workers finish before the reader half goes away;
     // the last one flushes whatever is buffered.
     conn.drain();
+}
+
+/// [`execute_request`], with a panic contained to the request: it is
+/// answered with one `internal` error envelope carrying the request's
+/// id, and the caller goes on to release the request's admission slot
+/// and pipeline count as for any other response. A session checked out
+/// for the request is dropped by the unwind, never parked.
+fn execute_contained(state: &ServerState, conn: &ConnShared, env: Envelope) -> Json {
+    let id = env.id;
+    // Unwind safety: what a request shares with others sits behind the
+    // caches' locks (none is held while an analysis runs); what it owns
+    // alone, its session, is dropped by the unwind.
+    match panic::catch_unwind(AssertUnwindSafe(|| execute_request(state, conn, env))) {
+        Ok(response) => response,
+        Err(payload) => {
+            let what = payload
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                .unwrap_or("no message");
+            protocol::error_response("internal", &format!("the request panicked: {what}"), id)
+        }
+    }
 }
 
 /// Execute one analysis-plane request (register/analyze/batch).

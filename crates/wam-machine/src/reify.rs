@@ -2,7 +2,7 @@
 
 use crate::cell::Cell;
 use crate::eval::deref;
-use prolog_syntax::{Interner, Term, VarId};
+use prolog_syntax::{Interner, Symbol, Term, VarId};
 use std::collections::HashMap;
 use wam::CompiledProgram;
 
@@ -135,18 +135,18 @@ fn reify_acyclic(heap: &[Cell], cell: Cell, namer: &mut Namer, path: &mut Vec<us
         Cell::Con(s) => Term::Atom(s),
         Cell::Lis(p) => {
             if path.contains(&p) {
-                return Term::Atom(ellipsis_symbol());
+                return Term::Atom(Symbol::ELLIPSIS);
             }
             path.push(p);
             let head = reify_acyclic(heap, Cell::Ref(p), namer, path);
             let tail = reify_acyclic(heap, Cell::Ref(p + 1), namer, path);
             path.pop();
             // `.`/2 — rebuild structurally; the dot symbol is well-known.
-            Term::Struct(dot_symbol(), vec![head, tail])
+            Term::Struct(Symbol::DOT, vec![head, tail])
         }
         Cell::Str(p) => {
             if path.contains(&p) {
-                return Term::Atom(ellipsis_symbol());
+                return Term::Atom(Symbol::ELLIPSIS);
             }
             path.push(p);
             let Cell::Fun(f, n) = heap[p] else {
@@ -160,17 +160,6 @@ fn reify_acyclic(heap: &[Cell], cell: Cell, namer: &mut Namer, path: &mut Vec<us
         }
         Cell::Fun(..) => unreachable!("bare functor cell"),
     }
-}
-
-/// The well-known `'.'` symbol (pre-interned at a fixed index by
-/// [`Interner::new`]).
-fn dot_symbol() -> prolog_syntax::Symbol {
-    Interner::new().dot()
-}
-
-/// The well-known `'...'` cyclic-cut atom.
-fn ellipsis_symbol() -> prolog_syntax::Symbol {
-    Interner::new().ellipsis()
 }
 
 #[cfg(test)]

@@ -1,6 +1,7 @@
-//! Heap footprint of what a serving daemon keeps: a parked session
-//! ([`SessionParts`]) and the patterns its interner holds, counted
-//! exactly by a counting global allocator.
+//! Heap footprint of what a serving daemon keeps: a built analyzer and
+//! its symbol table, a parked session ([`SessionParts`]) and the
+//! patterns its interner holds, and the pool slot a parked session
+//! takes, counted exactly by a counting global allocator.
 //!
 //! The counters are const-initialized thread-locals, so tests running on
 //! parallel threads do not see each other's allocations. What a value
@@ -8,7 +9,8 @@
 //! between two reads of the counters around the `drop`.
 
 use awam::absdom::{Pattern, PatternInterner};
-use awam::analysis::SessionParts;
+use awam::analysis::{Session, SessionParts};
+use awam::serve::SessionPool;
 use awam::testkit::{gen_program, GenConfig, Rng};
 use awam::Analyzer;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -108,14 +110,21 @@ fn parked_zebra_session_is_small() {
 }
 
 /// One program of the serving corpus: a seeded testkit program drawn
-/// with the default generator settings, queried at `p0` with all-`any`
-/// (1,041 B in 14 blocks when written; 41,268 B before).
-#[test]
-fn parked_testkit_session_is_small() {
+/// with the default generator settings, compiled, and the arity of its
+/// entry predicate `p0`.
+fn testkit_analyzer() -> (Analyzer, usize) {
     let generated = gen_program(&mut Rng::new(3), &GenConfig::default());
     let program = awam::syntax::parse_program(&generated.source()).expect("parses");
     let analyzer = Analyzer::compile(&program).expect("compiles");
-    let specs = vec!["any"; generated.entry_arity()];
+    (analyzer, generated.entry_arity())
+}
+
+/// The corpus program's session, queried at `p0` with all-`any`
+/// (1,041 B in 14 blocks when written; 41,268 B before).
+#[test]
+fn parked_testkit_session_is_small() {
+    let (analyzer, arity) = testkit_analyzer();
+    let specs = vec!["any"; arity];
     let (bytes, blocks) = held(parked(&analyzer, "p0", &specs));
     eprintln!("testkit seed 3: parked session holds {bytes} B in {blocks} blocks");
     assert!(
@@ -160,4 +169,60 @@ fn every_interned_pattern_costs_two_blocks() {
         let fresh = patterns.len() as i64 - 1;
         assert_eq!(blocks, 2 * fresh, "{name}: {fresh} patterns interned");
     }
+}
+
+/// A built analyzer for the corpus program: code area, predicate
+/// table, symbol table and seed arena, at exact size (4,292 B in 26
+/// blocks when written; 5,486 B in 75 blocks before names were stored
+/// once and the built state shrunk).
+#[test]
+fn built_testkit_analyzer_is_small() {
+    let (analyzer, _) = testkit_analyzer();
+    let (bytes, blocks) = held(analyzer);
+    eprintln!("testkit seed 3: built analyzer holds {bytes} B in {blocks} blocks");
+    assert!(
+        bytes <= 4_500 && blocks <= 30,
+        "testkit seed 3: built analyzer holds {bytes} B in {blocks} blocks"
+    );
+}
+
+/// A symbol table keeps all its names in one text buffer, one end
+/// table, one chain table and one hash index: four blocks, whatever the
+/// number of names (zebra's took 91 blocks for 44 names when each name
+/// was two strings).
+#[test]
+fn every_symbol_table_is_four_blocks() {
+    for b in awam::suite::all() {
+        let program = b.parse().expect("parses");
+        let compiled = awam::wam::compile_program(&program).expect("compiles");
+        let names = compiled.interner.len();
+        let (bytes, blocks) = held(compiled.interner);
+        eprintln!("{}: {names} names in {bytes} B, {blocks} blocks", b.name);
+        assert!(blocks <= 4, "{}: {names} names in {blocks} blocks", b.name);
+    }
+}
+
+/// A pool key that parks one session holds one `SessionParts` slot,
+/// not the four a vector's first growth reserves (1,568 B per key
+/// before). 64 keys of one tenant, beyond the parked sessions' own heap.
+#[test]
+fn a_parked_session_takes_one_pool_slot() {
+    let (analyzer, _) = testkit_analyzer();
+    let keys = 64u64;
+    let mut parts: Vec<SessionParts> = (0..keys)
+        .map(|_| Session::new(&analyzer).into_parts())
+        .collect();
+    let pool = SessionPool::new(4);
+    let before = live();
+    for key in 0..keys {
+        pool.checkin("tenant", key, parts.pop().expect("one per key"));
+    }
+    let per_key = (live().0 - before.0) / keys as i64;
+    let slot = std::mem::size_of::<SessionParts>() as i64;
+    eprintln!("pool: {per_key} B per key, one slot is {slot} B");
+    assert!(
+        per_key < 2 * slot,
+        "pool: {per_key} B per parked key, one slot is {slot} B"
+    );
+    assert_eq!(pool.snapshot().0, keys as usize);
 }
