@@ -19,11 +19,18 @@
 //!   dropping it frees);
 //! * `sym_bytes`, `sym_blocks` — what a copy of its symbol table holds
 //!   (the same as the table itself once the build has shrunk it);
+//! * `code_bytes`, `code_blocks` — the same for its code area: the
+//!   instructions and their operand pools;
 //! * `parked_bytes`, `parked_blocks` — what a parked session holds after
 //!   one query: what dropping its `SessionParts` frees.
 //!
 //! The `corpus` row is the serving corpus's seed-3 testkit program
 //! (default generator settings), queried at `p0` with all-`any`.
+//!
+//! A last line holds what the daemon's program cache holds for the whole
+//! seed-1 serving corpus (the 1,000 programs perfbench's serve_warm
+//! registers): the `Arc<Analyzer>`s built together, in bytes and blocks
+//! per program, and how many distinct seed arenas they share.
 //! Scratch-reuse and footprint regressions show up here as raw counts
 //! instead of a profile guess.
 
@@ -119,10 +126,14 @@ fn probe(name: &str, source: &str, goal: &str, specs: &[&str]) {
     session.analyze(goal, &entry).expect("analysis runs");
     let parked = held(session.into_parts());
     let symbols = held(analyzer.program().interner.clone());
+    let code = held((
+        analyzer.program().code.clone(),
+        analyzer.program().pools.clone(),
+    ));
     let built = held(analyzer);
 
     println!(
-        "{:<10} {:>6} {:>8} {:>6} {:>7} {:>8} {:>9} {:>9} {:>10} {:>9} {:>10} {:>12} {:>13}",
+        "{:<10} {:>6} {:>8} {:>6} {:>7} {:>8} {:>9} {:>9} {:>10} {:>9} {:>10} {:>10} {:>11} {:>12} {:>13}",
         name,
         parse,
         compile,
@@ -134,14 +145,48 @@ fn probe(name: &str, source: &str, goal: &str, specs: &[&str]) {
         built.1,
         symbols.0,
         symbols.1,
+        code.0,
+        code.1,
         parked.0,
         parked.1,
     );
 }
 
+/// What the cached analyzers of the 1,000-program seed-1 serving corpus
+/// hold together, and how many seed arenas they share.
+fn probe_cache() {
+    const PROGRAMS: usize = 1_000;
+    let mut rng = awam_testkit::Rng::new(1);
+    let config = awam_testkit::GenConfig::default();
+    let sources: Vec<String> = (0..PROGRAMS)
+        .map(|_| awam_testkit::gen_program(&mut rng, &config).source())
+        .collect();
+    let analyzers: Vec<std::sync::Arc<awam_core::Analyzer>> = sources
+        .iter()
+        .map(|source| {
+            let program = prolog_syntax::parse_program(source).expect("parses");
+            std::sync::Arc::new(awam_core::Analyzer::compile(&program).expect("compiles"))
+        })
+        .collect();
+    let mut seeds: Vec<*const absdom::PatternInterner> = analyzers
+        .iter()
+        .map(|a| a.seed_patterns() as *const _)
+        .collect();
+    seeds.sort_unstable();
+    seeds.dedup();
+    let list = std::mem::size_of_val(analyzers.as_slice()) as i64;
+    let (bytes, blocks) = held(analyzers);
+    println!(
+        "seed-1 corpus, {PROGRAMS} cached analyzers: {:.1} B in {:.2} blocks per program, {} seed arenas",
+        (bytes - list) as f64 / PROGRAMS as f64,
+        (blocks - 1) as f64 / PROGRAMS as f64,
+        seeds.len()
+    );
+}
+
 fn main() {
     println!(
-        "{:<10} {:>6} {:>8} {:>6} {:>7} {:>8} {:>9} {:>9} {:>10} {:>9} {:>10} {:>12} {:>13}",
+        "{:<10} {:>6} {:>8} {:>6} {:>7} {:>8} {:>9} {:>9} {:>10} {:>9} {:>10} {:>10} {:>11} {:>12} {:>13}",
         "program",
         "parse",
         "compile",
@@ -153,6 +198,8 @@ fn main() {
         "an_blocks",
         "sym_bytes",
         "sym_blocks",
+        "code_bytes",
+        "code_blocks",
         "parked_bytes",
         "parked_blocks"
     );
@@ -165,4 +212,5 @@ fn main() {
     );
     let specs = vec!["any"; corpus.entry_arity()];
     probe("corpus", &corpus.source(), "p0", &specs);
+    probe_cache();
 }

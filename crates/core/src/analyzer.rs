@@ -24,7 +24,8 @@ use awam_obs::{
     Tracer,
 };
 use prolog_syntax::Program;
-use std::sync::Arc;
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex, PoisonError, Weak};
 use std::time::Instant;
 use wam::{compile_program, CompileError, CompiledProgram};
 
@@ -179,12 +180,9 @@ impl AnalyzerBuilder {
             wam::fuse::unfuse_program(&mut program);
         }
         // The analyzer is immutable from here on: keep its code area,
-        // symbol table and seed arena at exact size.
-        program.code.shrink_to_fit();
-        program.interner.shrink_to_fit();
-        let mut seed = seed_interner(&program);
-        seed.shrink_to_fit();
-        let base_interner = Arc::new(seed);
+        // predicate table and symbol table at exact size.
+        program.shrink_to_fit();
+        let base_interner = shared_seed(&program);
         Analyzer {
             program,
             depth_k: self.depth_k,
@@ -237,22 +235,20 @@ pub struct Analyzer {
     /// span tree as the `compile` phase when profiling is on.
     compile_ns: u64,
     /// Shared read-only pattern arena, pre-seeded with the common
-    /// all-`any`/all-`var` patterns per predicate arity. Every query gets
-    /// a [`SessionInterner`] overlay over this `Arc`, so batch workers
-    /// share the seed without any locking.
+    /// all-`any`/all-`var` patterns per predicate arity (see
+    /// [`shared_seed`]). Every query gets a [`SessionInterner`] overlay
+    /// over this `Arc`, so batch workers share the seed without any
+    /// locking.
     base_interner: Arc<PatternInterner>,
 }
 
 /// Pre-intern the patterns every analysis is likely to touch: the empty
-/// pattern and, for each distinct predicate arity in the program, the
-/// all-`any` and all-`var` argument tuples.
-fn seed_interner(program: &CompiledProgram) -> PatternInterner {
+/// pattern and, for each of the sorted, distinct predicate `arities`,
+/// the all-`any` and all-`var` argument tuples.
+fn seed_interner(arities: &[usize]) -> PatternInterner {
     let mut interner = PatternInterner::new();
     interner.intern(Pattern::empty());
-    let mut arities: Vec<usize> = program.predicates.iter().map(|p| p.key.arity).collect();
-    arities.sort_unstable();
-    arities.dedup();
-    for arity in arities {
+    for &arity in arities {
         for spec in ["any", "var"] {
             let specs = vec![spec; arity];
             if let Some(p) = Pattern::from_spec(&specs) {
@@ -260,7 +256,32 @@ fn seed_interner(program: &CompiledProgram) -> PatternInterner {
             }
         }
     }
+    interner.shrink_to_fit();
     interner
+}
+
+/// Live seed arenas by arity set, process-wide.
+static SEEDS: Mutex<Option<HashMap<Vec<usize>, Weak<PatternInterner>>>> = Mutex::new(None);
+
+/// The seed arena of `program`. A seed depends on nothing but the
+/// program's set of predicate arities, so analyzers whose programs share
+/// that set share one arena: a live one is reused; otherwise a new one is
+/// built, and the entries of seeds no analyzer holds any more are pruned.
+fn shared_seed(program: &CompiledProgram) -> Arc<PatternInterner> {
+    let mut arities: Vec<usize> = program.predicates.iter().map(|p| p.key.arity).collect();
+    arities.sort_unstable();
+    arities.dedup();
+    // Every update (a `retain`, an `insert`) leaves the map valid, so a
+    // lock poisoned by a panicking build is safe to keep using.
+    let mut seeds = SEEDS.lock().unwrap_or_else(PoisonError::into_inner);
+    let seeds = seeds.get_or_insert_with(HashMap::new);
+    if let Some(seed) = seeds.get(&arities).and_then(Weak::upgrade) {
+        return seed;
+    }
+    let seed = Arc::new(seed_interner(&arities));
+    seeds.retain(|_, seed| seed.strong_count() > 0);
+    seeds.insert(arities, Arc::downgrade(&seed));
+    seed
 }
 
 /// One entry goal of a batch analysis: a predicate name plus its entry
@@ -406,6 +427,13 @@ impl Analyzer {
     /// The compiled program being analyzed.
     pub fn program(&self) -> &CompiledProgram {
         &self.program
+    }
+
+    /// The seed pattern arena every query's interner starts from. It is
+    /// shared with every other live analyzer whose program has the same
+    /// set of predicate arities.
+    pub fn seed_patterns(&self) -> &PatternInterner {
+        &self.base_interner
     }
 
     /// The interner used by the compiled program (for display).
@@ -785,5 +813,30 @@ impl PredAnalysis {
     /// Derived argument modes (see [`crate::report::ArgMode`]).
     pub fn modes(&self) -> Vec<crate::report::ArgMode> {
         crate::report::derive_modes(self)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use prolog_syntax::parse_program;
+
+    fn analyzer(src: &str) -> Analyzer {
+        Analyzer::compile(&parse_program(src).unwrap()).unwrap()
+    }
+
+    #[test]
+    fn programs_with_one_arity_set_share_one_seed() {
+        // Arities {1, 2} both times, from different predicates.
+        let a = analyzer("p(X) :- q(X, X). q(a, b).");
+        let b = analyzer("r(Y, Z) :- s(Z). s(1). t(2, 3).");
+        let c = analyzer("u(X, Y, Z) :- u(Z, Y, X).");
+        assert!(Arc::ptr_eq(&a.base_interner, &b.base_interner));
+        assert!(!Arc::ptr_eq(&a.base_interner, &c.base_interner));
+        // The shared seed holds what a private one would.
+        let own = seed_interner(&[1, 2]);
+        assert_eq!(a.seed_patterns().len(), own.len());
+        let analysis = b.analyze_query("r", &["any", "var"]).unwrap();
+        assert_eq!(analysis.predicates[0].name, "r/2");
     }
 }

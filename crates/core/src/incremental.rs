@@ -585,7 +585,7 @@ fn migrate(
         pred_map.push(
             symbols
                 .get(entry.key.name)
-                .and_then(|name| new_compiled.pred_map.get(&PredKey { name, arity }).copied()),
+                .and_then(|name| new_compiled.pred_id(PredKey { name, arity })),
         );
         let changed = diff
             .changed

@@ -381,7 +381,7 @@ impl Interpretation for AbstractMachine<'_> {
         // loop, clobbering the pc; save the return address around it.
         let ret = self.frame.pc;
         self.depth += 1;
-        let ok = self.solve_call(pred)?;
+        let ok = self.solve_call(pred as usize)?;
         self.depth -= 1;
         self.frame.pc = ret;
         Ok(if ok { Flow::Continue } else { Flow::Fail })
@@ -389,7 +389,7 @@ impl Interpretation for AbstractMachine<'_> {
 
     fn execute(&mut self, pred: PredIdx) -> Result<Flow, AnalysisError> {
         self.depth += 1;
-        let ok = self.solve_call(pred)?;
+        let ok = self.solve_call(pred as usize)?;
         self.depth -= 1;
         // Tail position: the clause is done either way.
         Ok(if ok { Flow::Done } else { Flow::Fail })
@@ -1037,13 +1037,13 @@ impl<'p> AbstractMachine<'p> {
         // pattern (the `abstract(X, Xα) … p(Xα)` of §5), summarizing
         // success patterns into the table and failing to the next clause.
         self.dep_stack.push(Vec::new());
-        let num_clauses = self.program.predicates[pred].clause_entries.len();
+        let num_clauses = self.program.predicates[pred].num_clauses();
         if let Some(span) = self.span.as_mut() {
             self.pred_instr_stack.push((self.frame.executed, 0));
             span.enter(&self.pred_names[pred]);
         }
         for clause_idx in 0..num_clauses {
-            let entry = self.program.predicates[pred].clause_entries[clause_idx];
+            let entry = self.program.clauses(pred)[clause_idx] as usize;
             let trail_mark = self.frame.trail.len();
             let heap_mark = self.frame.heap.len();
             let env_mark = self.frame.envs.len();
@@ -1749,6 +1749,6 @@ fn attach(cell: ACell, addr: Option<usize>) -> ACell {
 fn const_cell(c: WamConst) -> ACell {
     match c {
         WamConst::Atom(a) => ACell::Con(a),
-        WamConst::Int(i) => ACell::Int(i),
+        WamConst::Int(i) => ACell::Int(i.get()),
     }
 }

@@ -43,7 +43,7 @@ pub trait CellRepr: Copy + PartialEq + std::fmt::Debug {
     fn mk_const(c: WamConst) -> Self {
         match c {
             WamConst::Atom(a) => Self::mk_con(a),
-            WamConst::Int(i) => Self::mk_int(i),
+            WamConst::Int(i) => Self::mk_int(i.get()),
         }
     }
 

@@ -53,7 +53,9 @@ pub struct Env {
 pub struct Frame<C, E> {
     /// The global term store.
     pub heap: Vec<C>,
-    /// Argument/temporary registers `X1..Xn` (grown on demand).
+    /// Argument/temporary registers `X1..Xn`, [`wam::NUM_REGISTERS`] of
+    /// them: the compiler and the `.wam` loader both refuse code that
+    /// names more.
     pub x: Vec<C>,
     /// Environment stack.
     pub envs: Vec<Env>,
@@ -90,7 +92,7 @@ impl<C: CellRepr, E> Frame<C, E> {
     pub fn new() -> Self {
         Frame {
             heap: Vec::with_capacity(1024),
-            x: vec![C::null(); 256],
+            x: vec![C::null(); wam::NUM_REGISTERS],
             envs: Vec::with_capacity(64),
             ybank: Vec::with_capacity(256),
             e: None,
@@ -119,16 +121,10 @@ impl<C: CellRepr, E> Frame<C, E> {
         }
     }
 
-    /// Write an X or Y register (X grows on demand).
+    /// Write an X or Y register.
     pub fn write_slot(&mut self, slot: Slot, cell: C) {
         match slot {
-            Slot::X(n) => {
-                let n = n as usize;
-                if n >= self.x.len() {
-                    self.x.resize(n + 1, C::null());
-                }
-                self.x[n] = cell;
-            }
+            Slot::X(n) => self.x[n as usize] = cell,
             Slot::Y(n) => {
                 let e = self.e.expect("Y access with no environment");
                 let env = &self.envs[e];

@@ -27,7 +27,7 @@
 use crate::cell::CellRepr;
 use crate::frame::{Frame, Mode};
 use wam::{
-    Builtin, CodeAddr, CompiledProgram, Functor, Instr, PredIdx, UnifyOp, WamConst,
+    Builtin, CodeAddr, CompiledProgram, Functor, Instr, PredIdx, TermSwitch, UnifyOp, WamConst,
     FIRST_FUSED_OPCODE,
 };
 
@@ -170,7 +170,8 @@ pub fn unwind_trail<I: Interpretation>(m: &mut I, mark: usize) {
 }
 
 /// Fetch, count, and dispatch one instruction — the single `match` over
-/// [`wam::Instr`] on the execution path of the whole workspace.
+/// [`wam::Instr`] on the execution path of the whole workspace. Fused
+/// runs and switch tables are read from `program`'s operand pools.
 ///
 /// # Errors
 ///
@@ -181,7 +182,7 @@ pub fn unwind_trail<I: Interpretation>(m: &mut I, mark: usize) {
 #[allow(clippy::too_many_lines)]
 pub fn step<I: Interpretation>(m: &mut I, program: &CompiledProgram) -> Result<Flow, I::Error> {
     let pc = m.frame().pc;
-    let instr = &program.code[pc];
+    let instr = program.code[pc];
     {
         let f = m.frame_mut();
         let idx = instr.opcode_index();
@@ -197,53 +198,53 @@ pub fn step<I: Interpretation>(m: &mut I, program: &CompiledProgram) -> Result<F
     use Instr::*;
     let ok = match instr {
         // ----- get: head-argument matching -----
-        &GetVariable(slot, a) => {
+        GetVariable(slot, a) => {
             let v = m.frame().x[a as usize];
             m.frame_mut().write_slot(slot, v);
             true
         }
-        &GetValue(slot, a) => {
+        GetValue(slot, a) => {
             let v = m.frame().read_slot(slot);
             let arg = m.frame().x[a as usize];
             m.unify(v, arg)
         }
-        &GetConstant(c, a) => {
+        GetConstant(c, a) => {
             let arg = m.frame().x[a as usize];
             m.get_constant(c, arg)
         }
-        &GetList(a) => {
+        GetList(a) => {
             let arg = m.frame().x[a as usize];
             m.get_list(arg)
         }
-        &GetStructure(f, a) => {
+        GetStructure(f, a) => {
             let arg = m.frame().x[a as usize];
             m.get_structure(f, arg)
         }
         // ----- put: goal-argument construction -----
-        &PutVariable(slot, a) => {
+        PutVariable(slot, a) => {
             let f = m.frame_mut();
             let addr = f.push_unbound();
             f.write_slot(slot, I::Cell::mk_ref(addr));
             f.x[a as usize] = I::Cell::mk_ref(addr);
             true
         }
-        &PutValue(slot, a) => {
+        PutValue(slot, a) => {
             let f = m.frame_mut();
             let v = f.read_slot(slot);
             f.x[a as usize] = v;
             true
         }
-        &PutConstant(c, a) => {
+        PutConstant(c, a) => {
             m.frame_mut().x[a as usize] = I::Cell::mk_const(c);
             true
         }
-        &PutList(a) => {
+        PutList(a) => {
             let f = m.frame_mut();
             f.x[a as usize] = I::Cell::mk_lis(f.heap.len());
             f.mode = Mode::Write;
             true
         }
-        &PutStructure(fu, a) => {
+        PutStructure(fu, a) => {
             let f = m.frame_mut();
             let h = f.heap.len();
             f.heap.push(I::Cell::mk_fun(fu.name, fu.arity));
@@ -252,7 +253,7 @@ pub fn step<I: Interpretation>(m: &mut I, program: &CompiledProgram) -> Result<F
             true
         }
         // ----- unify: subterm traffic, split by mode -----
-        &UnifyVariable(slot) => {
+        UnifyVariable(slot) => {
             match m.frame().mode {
                 Mode::Read => {
                     let s = m.frame().s;
@@ -269,7 +270,7 @@ pub fn step<I: Interpretation>(m: &mut I, program: &CompiledProgram) -> Result<F
             }
             true
         }
-        &UnifyValue(slot) => match m.frame().mode {
+        UnifyValue(slot) => match m.frame().mode {
             Mode::Read => {
                 let f = m.frame_mut();
                 let v = f.read_slot(slot);
@@ -284,7 +285,7 @@ pub fn step<I: Interpretation>(m: &mut I, program: &CompiledProgram) -> Result<F
                 true
             }
         },
-        &UnifyConstant(c) => match m.frame().mode {
+        UnifyConstant(c) => match m.frame().mode {
             Mode::Read => {
                 let f = m.frame_mut();
                 let s = f.s;
@@ -296,7 +297,7 @@ pub fn step<I: Interpretation>(m: &mut I, program: &CompiledProgram) -> Result<F
                 true
             }
         },
-        &UnifyVoid(n) => {
+        UnifyVoid(n) => {
             let f = m.frame_mut();
             match f.mode {
                 Mode::Read => f.s += n as usize,
@@ -309,13 +310,13 @@ pub fn step<I: Interpretation>(m: &mut I, program: &CompiledProgram) -> Result<F
             true
         }
         // ----- environments -----
-        &Allocate(n) => {
+        Allocate(n) => {
             let f = m.frame_mut();
             let cut = f.b0;
             f.push_env(n, cut);
             true
         }
-        &Deallocate => {
+        Deallocate => {
             let f = m.frame_mut();
             let e = f.e.expect("deallocate with no environment");
             f.cont = f.envs[e].cont;
@@ -323,31 +324,36 @@ pub fn step<I: Interpretation>(m: &mut I, program: &CompiledProgram) -> Result<F
             true
         }
         // ----- control: per-interpretation -----
-        &Call(p) => return m.call(p),
-        &Execute(p) => return m.execute(p),
-        &Proceed => return m.proceed(),
-        &CallBuiltin(b) => return m.builtin(b),
-        &NeckCut => m.neck_cut(),
-        &GetLevel(y) => m.get_level(y),
-        &CutLevel(y) => m.cut_level(y),
+        Call(p) => return m.call(p),
+        Execute(p) => return m.execute(p),
+        Proceed => return m.proceed(),
+        CallBuiltin(b) => return m.builtin(b),
+        NeckCut => m.neck_cut(),
+        GetLevel(y) => m.get_level(y),
+        CutLevel(y) => m.cut_level(y),
         // ----- clause chaining and indexing: per-interpretation -----
-        &TryMeElse(l) => return Ok(m.try_me_else(l)),
-        &RetryMeElse(l) => return Ok(m.retry_me_else(l)),
-        &TrustMe => return Ok(m.trust_me()),
-        &Try(l) => return Ok(m.try_(l)),
-        &Retry(l) => return Ok(m.retry(l)),
-        &Trust(l) => return Ok(m.trust(l)),
-        &SwitchOnTerm {
-            var,
-            con,
-            lis,
-            str_,
-        } => {
+        TryMeElse(l) => return Ok(m.try_me_else(l)),
+        RetryMeElse(l) => return Ok(m.retry_me_else(l)),
+        TrustMe => return Ok(m.trust_me()),
+        Try(l) => return Ok(m.try_(l)),
+        Retry(l) => return Ok(m.retry(l)),
+        Trust(l) => return Ok(m.trust(l)),
+        SwitchOnTerm(t) => {
+            let TermSwitch {
+                var,
+                con,
+                lis,
+                str_,
+            } = program.pools.term_switch(t);
             return Ok(m.switch_on_term(var, con, lis, str_));
         }
-        SwitchOnConstant(table) => return Ok(m.switch_on_constant(table)),
-        SwitchOnStructure(table) => return Ok(m.switch_on_structure(table)),
-        &Fail => false,
+        SwitchOnConstant(table) => {
+            return Ok(m.switch_on_constant(program.pools.const_table(table)))
+        }
+        SwitchOnStructure(table) => {
+            return Ok(m.switch_on_structure(program.pools.struct_table(table)))
+        }
+        Fail => false,
         // ----- fused superinstructions: one fetch/decode per run -----
         //
         // Each arm replicates its constituents' effects exactly and
@@ -356,31 +362,38 @@ pub fn step<I: Interpretation>(m: &mut I, program: &CompiledProgram) -> Result<F
         // byte-identical to the unfused stream (a failing constituent is
         // counted — unfused code counts at fetch — and everything after
         // it is not).
-        GetStructureSeq(fu, a, ops) => {
+        GetStructureSeq {
+            name,
+            arity,
+            arg: a,
+            ops,
+        } => {
+            let fu = Functor { name, arity };
             {
                 let f = m.frame_mut();
-                f.opcodes.hit(GetStructure(*fu, *a).opcode_index());
+                f.opcodes.hit(GetStructure(fu, a).opcode_index());
                 f.executed += 1;
             }
-            let arg = m.frame().x[*a as usize];
-            if m.get_structure(*fu, arg) {
-                return run_unify_seq(m, ops);
+            let arg = m.frame().x[a as usize];
+            if m.get_structure(fu, arg) {
+                return run_unify_seq(m, program.pools.unify_run(ops));
             }
             false
         }
         GetListSeq(a, ops) => {
             {
                 let f = m.frame_mut();
-                f.opcodes.hit(GetList(*a).opcode_index());
+                f.opcodes.hit(GetList(a).opcode_index());
                 f.executed += 1;
             }
-            let arg = m.frame().x[*a as usize];
+            let arg = m.frame().x[a as usize];
             if m.get_list(arg) {
-                return run_unify_seq(m, ops);
+                return run_unify_seq(m, program.pools.unify_run(ops));
             }
             false
         }
         PutValueSeq(moves) => {
+            let moves = program.pools.move_run(moves);
             let f = m.frame_mut();
             f.opcodes.hit_n(
                 PutValue(moves[0].0, moves[0].1).opcode_index(),

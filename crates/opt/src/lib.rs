@@ -80,11 +80,11 @@ impl OptReport {
             // Entry states per argument: the lub over calling patterns.
             let states: Vec<ArgState> = (0..pa.arity).map(|i| arg_state(&pa.entries, i)).collect();
             // Walk each clause's head section.
-            for &entry in &pred.clause_entries {
-                classify_head(compiled, entry, &states, &pa.entries, &mut row);
+            for &entry in compiled.clauses(pa.pred) {
+                classify_head(compiled, entry as usize, &states, &pa.entries, &mut row);
             }
             // Switch analysis.
-            if let Some(Instr::SwitchOnTerm { .. }) = compiled.code.get(pred.entry) {
+            if let Some(Instr::SwitchOnTerm(_)) = compiled.code.get(pred.entry as usize) {
                 row.dead_switch_branches = dead_branches(&pa.entries);
             }
             row.determinate = determinate(compiled, pred, &pa.entries);
@@ -176,7 +176,7 @@ fn classify_head(
     // Walk constituents, so fused superinstructions classify the same
     // as the plain opcodes they pack.
     'head: for instr in &compiled.code[entry..] {
-        for constituent in instr.expand() {
+        for constituent in instr.expand(&compiled.pools) {
             match &constituent {
                 Instr::GetConstant(_, a) | Instr::GetList(a) | Instr::GetStructure(_, a)
                     if (*a as usize) < states.len() =>
@@ -216,7 +216,7 @@ fn constant_pinned(entries: &[(Pattern, Option<Pattern>)], a: usize, c: WamConst
             .iter()
             .all(|(cp, _)| match (cp.node(cp.root(a)), c) {
                 (PNode::Atom(x), WamConst::Atom(y)) => *x == y,
-                (PNode::Int(x), WamConst::Int(y)) => *x == y,
+                (PNode::Int(x), WamConst::Int(y)) => *x == y.get(),
                 _ => false,
             })
 }
@@ -282,12 +282,13 @@ fn determinate(
     pred: &wam::PredEntry,
     entries: &[(Pattern, Option<Pattern>)],
 ) -> bool {
-    if pred.clause_entries.len() <= 1 {
+    if pred.num_clauses() <= 1 {
         return true;
     }
-    let Some(Instr::SwitchOnTerm { con, lis, str_, .. }) = compiled.code.get(pred.entry) else {
+    let Some(&Instr::SwitchOnTerm(t)) = compiled.code.get(pred.entry as usize) else {
         return false;
     };
+    let wam::TermSwitch { con, lis, str_, .. } = compiled.pools.term_switch(t);
     if entries.is_empty() {
         return false;
     }
@@ -296,9 +297,9 @@ fn determinate(
             return false;
         }
         let target = match cp.node(cp.root(0)) {
-            PNode::Atom(_) | PNode::Int(_) => *con,
-            PNode::Struct(f, span) if absdom::is_dot_symbol(*f) && span.len() == 2 => *lis,
-            PNode::Struct(..) => *str_,
+            PNode::Atom(_) | PNode::Int(_) => con,
+            PNode::Struct(f, span) if absdom::is_dot_symbol(*f) && span.len() == 2 => lis,
+            PNode::Struct(..) => str_,
             PNode::List(_) => return false, // [] or cons: two targets
             PNode::Leaf(_) => return false,
         };
@@ -306,17 +307,21 @@ fn determinate(
     })
 }
 
-fn branch_is_deterministic(compiled: &CompiledProgram, target: usize) -> bool {
-    match compiled.code.get(target) {
+fn branch_is_deterministic(compiled: &CompiledProgram, target: wam::CodeAddr) -> bool {
+    match compiled.code.get(target as usize) {
         Some(Instr::Fail) => true,
         Some(Instr::Try(_) | Instr::TryMeElse(_)) => false,
         // Second-level tables: every bucket must itself be deterministic.
-        Some(Instr::SwitchOnConstant(table)) => table
+        Some(&Instr::SwitchOnConstant(table)) => compiled
+            .pools
+            .const_table(table)
             .iter()
-            .all(|(_, t)| branch_is_deterministic(compiled, *t)),
-        Some(Instr::SwitchOnStructure(table)) => table
+            .all(|&(_, t)| branch_is_deterministic(compiled, t)),
+        Some(&Instr::SwitchOnStructure(table)) => compiled
+            .pools
+            .struct_table(table)
             .iter()
-            .all(|(_, t)| branch_is_deterministic(compiled, *t)),
+            .all(|&(_, t)| branch_is_deterministic(compiled, t)),
         // A direct clause-body entry.
         Some(_) => true,
         None => false,

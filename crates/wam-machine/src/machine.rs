@@ -220,7 +220,7 @@ impl Interpretation for Machine<'_> {
                 true
             }
             (Cell::Con(s), WamConst::Atom(a)) => s == a,
-            (Cell::Int(i), WamConst::Int(j)) => i == j,
+            (Cell::Int(i), WamConst::Int(j)) => i == j.get(),
             _ => false,
         }
     }
@@ -266,12 +266,12 @@ impl Interpretation for Machine<'_> {
 
     fn call(&mut self, pred: PredIdx) -> Result<Flow, RunError> {
         self.frame.cont = Some(self.frame.pc);
-        self.enter(pred);
+        self.enter(pred as usize);
         Ok(Flow::Continue)
     }
 
     fn execute(&mut self, pred: PredIdx) -> Result<Flow, RunError> {
-        self.enter(pred);
+        self.enter(pred as usize);
         Ok(Flow::Continue)
     }
 
@@ -313,7 +313,7 @@ impl Interpretation for Machine<'_> {
     }
 
     fn try_me_else(&mut self, alt: CodeAddr) -> Flow {
-        self.push_choice(alt);
+        self.push_choice(alt as usize);
         Flow::Continue
     }
 
@@ -321,7 +321,7 @@ impl Interpretation for Machine<'_> {
         self.choices
             .last_mut()
             .expect("retry_me_else with no choice point")
-            .next_alt = alt;
+            .next_alt = alt as usize;
         Flow::Continue
     }
 
@@ -333,7 +333,7 @@ impl Interpretation for Machine<'_> {
     fn try_(&mut self, clause: CodeAddr) -> Flow {
         let next = self.frame.pc;
         self.push_choice(next);
-        self.frame.pc = clause;
+        self.frame.pc = clause as usize;
         Flow::Continue
     }
 
@@ -343,13 +343,13 @@ impl Interpretation for Machine<'_> {
             .last_mut()
             .expect("retry with no choice point")
             .next_alt = next;
-        self.frame.pc = clause;
+        self.frame.pc = clause as usize;
         Flow::Continue
     }
 
     fn trust(&mut self, clause: CodeAddr) -> Flow {
         self.choices.pop().expect("trust with no choice point");
-        self.frame.pc = clause;
+        self.frame.pc = clause as usize;
         Flow::Continue
     }
 
@@ -367,7 +367,7 @@ impl Interpretation for Machine<'_> {
             Cell::Lis(_) => lis,
             Cell::Str(_) => str_,
             Cell::Fun(..) => unreachable!("bare functor in A1"),
-        };
+        } as usize;
         Flow::Continue
     }
 
@@ -375,12 +375,12 @@ impl Interpretation for Machine<'_> {
         let d = deref(&self.frame.heap, self.frame.x[0]);
         let key = match d {
             Cell::Con(s) => Some(WamConst::Atom(s)),
-            Cell::Int(i) => Some(WamConst::Int(i)),
+            Cell::Int(i) => Some(WamConst::int(i)),
             _ => None,
         };
         match key.and_then(|k| table.iter().find(|(c, _)| *c == k)) {
             Some((_, addr)) => {
-                self.frame.pc = *addr;
+                self.frame.pc = *addr as usize;
                 Flow::Continue
             }
             None => Flow::Fail,
@@ -402,7 +402,7 @@ impl Interpretation for Machine<'_> {
                 .find(|(func, _)| func.name == f && func.arity == n)
         }) {
             Some((_, addr)) => {
-                self.frame.pc = *addr;
+                self.frame.pc = *addr as usize;
                 Flow::Continue
             }
             None => Flow::Fail,
@@ -544,7 +544,7 @@ impl<'p> Machine<'p> {
         self.frame.num_args = args.len();
         self.frame.b0 = 0;
         self.frame.cont = None;
-        self.frame.pc = self.program.predicates[pred].entry;
+        self.frame.pc = self.program.predicates[pred].entry as usize;
         match self.run()? {
             Outcome::Success => Ok(Some(self.extract_solution())),
             Outcome::Failure => Ok(None),
@@ -636,7 +636,7 @@ impl<'p> Machine<'p> {
     }
 
     fn enter(&mut self, pred: usize) {
-        let entry = self.program.predicates[pred].entry;
+        let entry = self.program.predicates[pred].entry as usize;
         self.frame.num_args = self.program.predicates[pred].key.arity;
         self.frame.b0 = self.choices.len();
         self.frame.pc = entry;

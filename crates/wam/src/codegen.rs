@@ -24,6 +24,14 @@ pub enum CodegenError {
         /// `name/arity` of the missing predicate.
         pred: String,
     },
+    /// A clause needs more X registers than the machine frame has
+    /// ([`crate::NUM_REGISTERS`]).
+    TooManyRegisters {
+        /// `name/arity` of the clause's predicate.
+        pred: String,
+        /// Registers the clause needs.
+        needed: usize,
+    },
 }
 
 impl std::fmt::Display for CodegenError {
@@ -32,6 +40,11 @@ impl std::fmt::Display for CodegenError {
             CodegenError::UndefinedPredicate { pred } => {
                 write!(f, "call to undefined predicate {pred}")
             }
+            CodegenError::TooManyRegisters { pred, needed } => write!(
+                f,
+                "a clause of {pred} needs {needed} registers, more than the {}",
+                crate::NUM_REGISTERS
+            ),
         }
     }
 }
@@ -56,7 +69,40 @@ pub fn compile_clause(
     };
     gen.scratch = gen.classified.layout.scratch_base;
     gen.run()?;
+    let needed = registers_needed(&gen.code).max(clause.key.arity);
+    if needed > crate::NUM_REGISTERS {
+        return Err(CodegenError::TooManyRegisters {
+            pred: clause.key.display(interner),
+            needed,
+        });
+    }
     Ok(gen.code)
+}
+
+/// One past the highest X register `code` names (argument registers
+/// included).
+fn registers_needed(code: &[Instr]) -> usize {
+    let x = |slot: Slot| match slot {
+        Slot::X(n) => usize::from(n) + 1,
+        Slot::Y(_) => 0,
+    };
+    code.iter()
+        .map(|instr| match *instr {
+            Instr::GetVariable(s, a)
+            | Instr::GetValue(s, a)
+            | Instr::PutVariable(s, a)
+            | Instr::PutValue(s, a) => x(s).max(usize::from(a) + 1),
+            Instr::GetConstant(_, a)
+            | Instr::GetList(a)
+            | Instr::GetStructure(_, a)
+            | Instr::PutConstant(_, a)
+            | Instr::PutList(a)
+            | Instr::PutStructure(_, a) => usize::from(a) + 1,
+            Instr::UnifyVariable(s) | Instr::UnifyValue(s) => x(s),
+            _ => 0,
+        })
+        .max()
+        .unwrap_or(0)
 }
 
 struct ClauseGen<'a> {
@@ -106,6 +152,7 @@ impl ClauseGen<'_> {
                             pred: key.display(self.interner),
                         }
                     })?;
+                    let idx = crate::PredIdx::try_from(idx).expect("under 4 Gi predicates");
                     self.compile_args(args);
                     let is_last_goal = i + 1 == goals.len();
                     if is_last_goal && Some(i) == last_call_idx {
@@ -148,7 +195,7 @@ impl ClauseGen<'_> {
                         self.code.push(Instr::GetValue(self.layout().slot(*v), a));
                     }
                 }
-                Term::Int(i) => self.code.push(Instr::GetConstant(WamConst::Int(*i), a)),
+                Term::Int(i) => self.code.push(Instr::GetConstant(WamConst::int(*i), a)),
                 Term::Atom(s) => self.code.push(Instr::GetConstant(WamConst::Atom(*s), a)),
                 Term::Struct(f, args) if self.is_cons(*f, args.len()) => {
                     self.code.push(Instr::GetList(a));
@@ -201,7 +248,7 @@ impl ClauseGen<'_> {
                         self.code.push(Instr::UnifyValue(self.layout().slot(*v)));
                     }
                 }
-                Term::Int(i) => self.code.push(Instr::UnifyConstant(WamConst::Int(*i))),
+                Term::Int(i) => self.code.push(Instr::UnifyConstant(WamConst::int(*i))),
                 Term::Atom(s) => self.code.push(Instr::UnifyConstant(WamConst::Atom(*s))),
                 Term::Struct(..) => {
                     let reg = self.fresh_scratch();
@@ -232,7 +279,7 @@ impl ClauseGen<'_> {
     fn prepare_arg(&mut self, arg: &Term) -> PreparedArg {
         match arg {
             Term::Var(v) => PreparedArg::Var(*v),
-            Term::Int(i) => PreparedArg::Const(WamConst::Int(*i)),
+            Term::Int(i) => PreparedArg::Const(WamConst::int(*i)),
             Term::Atom(s) => PreparedArg::Const(WamConst::Atom(*s)),
             Term::Struct(f, children) => {
                 let parts: Vec<WritePart> = children.iter().map(|c| self.prepare_part(c)).collect();
@@ -251,7 +298,7 @@ impl ClauseGen<'_> {
     fn prepare_part(&mut self, term: &Term) -> WritePart {
         match term {
             Term::Var(v) => WritePart::Var(*v),
-            Term::Int(i) => WritePart::Const(WamConst::Int(*i)),
+            Term::Int(i) => WritePart::Const(WamConst::int(*i)),
             Term::Atom(s) => WritePart::Const(WamConst::Atom(*s)),
             Term::Struct(f, children) => {
                 // Build this child into a scratch register, bottom-up.
@@ -386,7 +433,8 @@ mod tests {
 
     fn listing(src: &str) -> Vec<String> {
         let (code, interner) = compile_first(src);
-        code.iter().map(|i| i.display(&interner)).collect()
+        let program = crate::CompiledProgram::empty(interner);
+        code.iter().map(|i| i.display(&program)).collect()
     }
 
     #[test]

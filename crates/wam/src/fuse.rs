@@ -17,102 +17,74 @@
 //! instruction stream; both passes are idempotent, so applying either to a
 //! program in any fusion state is deterministic.
 
-use crate::compile::CompiledProgram;
-use crate::instr::{CodeAddr, Instr, UnifyOp};
-use std::collections::HashSet;
+use crate::compile::{push_run, CodePools, CompiledProgram};
+use crate::instr::{CodeAddr, Instr, Span, UnifyOp};
 
 /// Every code address that some other part of the program can transfer
-/// control to: predicate entries, clause entries, and jump operands. These
-/// must remain instruction starts after fusion.
-fn collect_barriers(p: &CompiledProgram) -> HashSet<CodeAddr> {
-    let mut barriers: HashSet<CodeAddr> = HashSet::new();
+/// control to: predicate entries, clause entries, and jump operands
+/// (switch tables included). These must remain instruction starts after
+/// fusion. `barriers[addr]` is set for each.
+fn collect_barriers(p: &CompiledProgram) -> Vec<bool> {
+    let mut barriers = vec![false; p.code.len() + 1];
+    let mut mark = |addr: CodeAddr| barriers[addr as usize] = true;
     for pred in &p.predicates {
-        barriers.insert(pred.entry);
-        barriers.extend(pred.clause_entries.iter().copied());
+        mark(pred.entry);
     }
+    p.clause_entries.iter().copied().for_each(&mut mark);
     for instr in &p.code {
-        match instr {
-            Instr::TryMeElse(l)
-            | Instr::RetryMeElse(l)
-            | Instr::Try(l)
-            | Instr::Retry(l)
-            | Instr::Trust(l) => {
-                barriers.insert(*l);
-            }
-            Instr::SwitchOnTerm {
-                var,
-                con,
-                lis,
-                str_,
-            } => {
-                barriers.extend([*var, *con, *lis, *str_]);
-            }
-            Instr::SwitchOnConstant(table) => {
-                barriers.extend(table.iter().map(|(_, l)| *l));
-            }
-            Instr::SwitchOnStructure(table) => {
-                barriers.extend(table.iter().map(|(_, l)| *l));
-            }
-            _ => {}
+        if let Instr::TryMeElse(l)
+        | Instr::RetryMeElse(l)
+        | Instr::Try(l)
+        | Instr::Retry(l)
+        | Instr::Trust(l) = *instr
+        {
+            mark(l);
         }
     }
+    let pools = &p.pools;
+    for t in &pools.term_switches {
+        [t.var, t.con, t.lis, t.str_]
+            .into_iter()
+            .for_each(&mut mark);
+    }
+    pools.const_cases.iter().for_each(|&(_, l)| mark(l));
+    pools.struct_cases.iter().for_each(|&(_, l)| mark(l));
     barriers
 }
 
-/// Rewrite every code-address operand in `code` and every entry in the
-/// predicate table through `map`.
+/// Rewrite every code-address operand in `code` and its pools, every
+/// predicate entry and every clause entry through `map`.
 fn rewrite_addrs(p: &mut CompiledProgram, map: impl Fn(CodeAddr) -> CodeAddr) {
     for instr in &mut p.code {
-        match instr {
-            Instr::TryMeElse(l)
-            | Instr::RetryMeElse(l)
-            | Instr::Try(l)
-            | Instr::Retry(l)
-            | Instr::Trust(l) => *l = map(*l),
-            Instr::SwitchOnTerm {
-                var,
-                con,
-                lis,
-                str_,
-            } => {
-                *var = map(*var);
-                *con = map(*con);
-                *lis = map(*lis);
-                *str_ = map(*str_);
-            }
-            Instr::SwitchOnConstant(table) => {
-                for (_, l) in table {
-                    *l = map(*l);
-                }
-            }
-            Instr::SwitchOnStructure(table) => {
-                for (_, l) in table {
-                    *l = map(*l);
-                }
-            }
-            _ => {}
+        if let Instr::TryMeElse(l)
+        | Instr::RetryMeElse(l)
+        | Instr::Try(l)
+        | Instr::Retry(l)
+        | Instr::Trust(l) = instr
+        {
+            *l = map(*l);
         }
+    }
+    for l in p.pools.addrs_mut() {
+        *l = map(*l);
     }
     for pred in &mut p.predicates {
         pred.entry = map(pred.entry);
-        for l in &mut pred.clause_entries {
-            *l = map(*l);
-        }
+    }
+    for l in &mut p.clause_entries {
+        *l = map(*l);
     }
 }
 
 /// Collect the maximal fusable `unify_*` run starting at `start`, stopping
-/// at the first barrier or non-unify instruction. Returns the operands and
-/// the index one past the run.
-fn take_unify_run(
-    code: &[Instr],
-    start: usize,
-    barriers: &HashSet<CodeAddr>,
-) -> (Vec<UnifyOp>, usize) {
+/// at the first barrier or non-unify instruction, or at
+/// [`Span::MAX_LEN`] operands. Returns the operands and the index one
+/// past the run.
+fn take_unify_run(code: &[Instr], start: usize, barriers: &[bool]) -> (Vec<UnifyOp>, usize) {
     let mut ops = Vec::new();
     let mut i = start;
-    while i < code.len() && !barriers.contains(&i) {
-        match UnifyOp::from_instr(&code[i]) {
+    while i < code.len() && !barriers[i] && ops.len() < Span::MAX_LEN {
+        match UnifyOp::from_instr(code[i]) {
             Some(op) => {
                 ops.push(op);
                 i += 1;
@@ -123,89 +95,115 @@ fn take_unify_run(
     (ops, i)
 }
 
+/// Move the fused runs (the unify-op and move pools) out of `pools`,
+/// leaving them empty; the switch tables stay.
+fn take_runs(pools: &mut CodePools) -> CodePools {
+    CodePools {
+        unify_ops: std::mem::take(&mut pools.unify_ops),
+        moves: std::mem::take(&mut pools.moves),
+        ..CodePools::default()
+    }
+}
+
 /// Fuse hot instruction runs in `p` into superinstructions, in place.
 ///
 /// Idempotent: already-fused instructions are never re-fused, and plain
 /// instructions that survive a first pass have no fusable continuation.
+/// The run pools are rebuilt in code order: runs fused earlier are
+/// copied over, new runs are appended where their instruction lands.
 pub fn fuse_program(p: &mut CompiledProgram) {
     let barriers = collect_barriers(p);
     let old = std::mem::take(&mut p.code);
+    let old_pools = take_runs(&mut p.pools);
+    let pools = &mut p.pools;
     let mut new_code: Vec<Instr> = Vec::with_capacity(old.len());
     // `new_addr[i]` is the new index of old instruction `i`, or `None` when
     // `i` was consumed into the interior of a fused run (guaranteed
     // unreferenced by the barrier check).
-    let mut new_addr: Vec<Option<usize>> = vec![None; old.len() + 1];
+    let mut new_addr: Vec<Option<CodeAddr>> = vec![None; old.len() + 1];
+    let next = |code: &Vec<Instr>| Some(code.len() as CodeAddr);
     let mut i = 0;
     while i < old.len() {
-        new_addr[i] = Some(new_code.len());
-        match &old[i] {
-            Instr::GetStructure(f, a) => {
-                let (ops, end) = take_unify_run(&old, i + 1, &barriers);
-                if ops.is_empty() {
-                    new_code.push(old[i].clone());
-                    i += 1;
-                } else {
-                    new_code.push(Instr::GetStructureSeq(*f, *a, ops));
-                    i = end;
-                }
-            }
-            Instr::GetList(a) => {
-                let (ops, end) = take_unify_run(&old, i + 1, &barriers);
-                if ops.is_empty() {
-                    new_code.push(old[i].clone());
-                    i += 1;
-                } else {
-                    new_code.push(Instr::GetListSeq(*a, ops));
-                    i = end;
-                }
-            }
-            Instr::PutValue(v, a) => {
-                let mut moves = vec![(*v, *a)];
-                let mut j = i + 1;
-                while j < old.len() && !barriers.contains(&j) {
-                    match &old[j] {
-                        Instr::PutValue(v2, a2) => {
-                            moves.push((*v2, *a2));
-                            j += 1;
-                        }
+        new_addr[i] = next(&new_code);
+        let (instr, end) = match old[i] {
+            Instr::GetStructure(f, a) => match take_unify_run(&old, i + 1, &barriers) {
+                (ops, end) if !ops.is_empty() => (
+                    Instr::GetStructureSeq {
+                        name: f.name,
+                        arity: f.arity,
+                        arg: a,
+                        ops: push_run(&mut pools.unify_ops, ops).expect("run capped"),
+                    },
+                    end,
+                ),
+                _ => (old[i], i + 1),
+            },
+            Instr::GetList(a) => match take_unify_run(&old, i + 1, &barriers) {
+                (ops, end) if !ops.is_empty() => (
+                    Instr::GetListSeq(a, push_run(&mut pools.unify_ops, ops).expect("run capped")),
+                    end,
+                ),
+                _ => (old[i], i + 1),
+            },
+            Instr::PutValue(..) => {
+                let mut j = i;
+                let mut moves = Vec::new();
+                while j < old.len() && (j == i || !barriers[j]) && moves.len() < Span::MAX_LEN {
+                    match old[j] {
+                        Instr::PutValue(v, a) => moves.push((v, a)),
                         _ => break,
                     }
+                    j += 1;
                 }
                 if moves.len() >= 2 {
-                    new_code.push(Instr::PutValueSeq(moves));
-                    i = j;
+                    let span = push_run(&mut pools.moves, moves).expect("run capped");
+                    (Instr::PutValueSeq(span), j)
                 } else {
-                    new_code.push(old[i].clone());
-                    i += 1;
+                    (old[i], i + 1)
                 }
             }
-            other => {
-                new_code.push(other.clone());
-                i += 1;
+            mut other => {
+                // Runs fused earlier move to their place in the new pools.
+                match &mut other {
+                    Instr::GetStructureSeq { ops, .. } | Instr::GetListSeq(_, ops) => {
+                        let run = old_pools.unify_run(*ops).iter().copied();
+                        *ops = push_run(&mut pools.unify_ops, run).expect("same length as before");
+                    }
+                    Instr::PutValueSeq(moves) => {
+                        let run = old_pools.move_run(*moves).iter().copied();
+                        *moves = push_run(&mut pools.moves, run).expect("same length as before");
+                    }
+                    _ => {}
+                }
+                (other, i + 1)
             }
-        }
+        };
+        new_code.push(instr);
+        i = end;
     }
-    new_addr[old.len()] = Some(new_code.len());
+    new_addr[old.len()] = next(&new_code);
     p.code = new_code;
     rewrite_addrs(p, |addr| {
-        new_addr[addr].expect("fusion never consumes a referenced address")
+        new_addr[addr as usize].expect("fusion never consumes a referenced address")
     });
 }
 
 /// Expand every fused superinstruction in `p` back into its constituent
 /// plain instructions, in place. The exact inverse of [`fuse_program`];
-/// idempotent on already-plain code.
+/// idempotent on already-plain code. The run pools end empty: no run is
+/// left behind.
 pub fn unfuse_program(p: &mut CompiledProgram) {
     let old = std::mem::take(&mut p.code);
+    let old_pools = take_runs(&mut p.pools);
     let mut new_code: Vec<Instr> = Vec::with_capacity(old.len());
-    let mut new_addr: Vec<usize> = vec![0; old.len() + 1];
+    let mut new_addr: Vec<CodeAddr> = vec![0; old.len() + 1];
     for (i, instr) in old.iter().enumerate() {
-        new_addr[i] = new_code.len();
-        new_code.extend(instr.expand());
+        new_addr[i] = new_code.len() as CodeAddr;
+        new_code.extend(instr.expand(&old_pools));
     }
-    new_addr[old.len()] = new_code.len();
+    new_addr[old.len()] = new_code.len() as CodeAddr;
     p.code = new_code;
-    rewrite_addrs(p, |addr| new_addr[addr]);
+    rewrite_addrs(p, |addr| new_addr[addr as usize]);
 }
 
 #[cfg(test)]
@@ -253,15 +251,41 @@ mod tests {
             let mut refused = unfused.clone();
             fuse_program(&mut refused);
             assert_eq!(refused.code, fused.code, "{src}");
-            assert_eq!(
-                refused
-                    .predicates
-                    .iter()
-                    .map(|p| p.entry)
-                    .collect::<Vec<_>>(),
-                fused.predicates.iter().map(|p| p.entry).collect::<Vec<_>>()
-            );
+            assert_eq!(refused.pools, fused.pools, "{src}");
+            assert_eq!(refused.predicates, fused.predicates, "{src}");
+            assert_eq!(refused.clause_entries, fused.clause_entries, "{src}");
         }
+    }
+
+    #[test]
+    fn unfusing_leaves_no_run_behind() {
+        let mut c = compile(NREV);
+        assert!(!c.pools.unify_ops.is_empty() && !c.pools.moves.is_empty());
+        let switches = c.pools.term_switches.clone();
+        unfuse_program(&mut c);
+        assert!(c.pools.unify_ops.is_empty() && c.pools.moves.is_empty());
+        assert_eq!(c.pools.unify_ops.capacity() + c.pools.moves.capacity(), 0);
+        // Switch targets stay, rewritten to the longer code.
+        assert_eq!(c.pools.term_switches.len(), switches.len());
+        assert_ne!(c.pools.term_switches, switches);
+    }
+
+    #[test]
+    fn pools_follow_code_order() {
+        // Re-fusing fused code copies every run to where its instruction
+        // lands, so the pools come out as they were: in code order.
+        let fused = compile(NREV);
+        let mut again = fused.clone();
+        fuse_program(&mut again);
+        assert_eq!(again.pools, fused.pools);
+        let mut starts = Vec::new();
+        for instr in &fused.code {
+            if let Instr::GetStructureSeq { ops, .. } | Instr::GetListSeq(_, ops) = *instr {
+                starts.push(ops.start());
+            }
+        }
+        assert!(starts.windows(2).all(|w| w[0] < w[1]), "{starts:?}");
+        assert_eq!(starts.first(), Some(&0));
     }
 
     #[test]
@@ -270,28 +294,26 @@ mod tests {
         let mut again = c.clone();
         fuse_program(&mut again);
         assert_eq!(again.code, c.code);
+        assert_eq!(again.pools, c.pools);
 
         let mut plain = c.clone();
         unfuse_program(&mut plain);
         let mut plain2 = plain.clone();
         unfuse_program(&mut plain2);
         assert_eq!(plain2.code, plain.code);
+        assert_eq!(plain2.pools, plain.pools);
     }
 
     #[test]
     fn barriers_stay_instruction_starts() {
         let c = compile(NREV);
         let barriers = collect_barriers(&c);
-        for addr in barriers {
-            assert!(addr <= c.code.len(), "barrier {addr} out of range");
-        }
-        // Every jump operand still lands on a real instruction: unfusing
-        // and re-running validation-by-construction — expand() of every
-        // target must start where the remapped address says.
-        for pred in &c.predicates {
-            assert!(pred.entry < c.code.len());
-            for &l in &pred.clause_entries {
-                assert!(l < c.code.len());
+        assert_eq!(barriers.len(), c.code.len() + 1);
+        // Every jump operand still lands on a real instruction.
+        for (id, pred) in c.predicates.iter().enumerate() {
+            assert!((pred.entry as usize) < c.code.len());
+            for &l in c.clauses(id) {
+                assert!((l as usize) < c.code.len());
             }
         }
     }
@@ -304,7 +326,7 @@ mod tests {
         let has_seq = c
             .code
             .iter()
-            .any(|i| matches!(i, Instr::GetStructureSeq(_, _, ops) if ops.len() >= 5));
+            .any(|i| matches!(i, Instr::GetStructureSeq { ops, .. } if ops.len() >= 5));
         assert!(has_seq, "{}", c.listing());
     }
 }

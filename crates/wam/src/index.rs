@@ -9,7 +9,8 @@
 //! has several clauses. Unbound first arguments fall back to the full
 //! chain.
 
-use crate::instr::{CodeAddr, Functor, Instr, WamConst};
+use crate::compile::{push_run, CodePools};
+use crate::instr::{CodeAddr, Functor, Instr, Span, TermSwitch, WamConst};
 use crate::norm::NormClause;
 use prolog_syntax::Term;
 
@@ -30,7 +31,7 @@ pub enum FirstArg {
 pub fn first_arg_class(clause: &NormClause, interner: &prolog_syntax::Interner) -> FirstArg {
     match clause.head_args.first() {
         None | Some(Term::Var(_)) => FirstArg::Var,
-        Some(Term::Int(i)) => FirstArg::Const(WamConst::Int(*i)),
+        Some(Term::Int(i)) => FirstArg::Const(WamConst::int(*i)),
         Some(Term::Atom(a)) => FirstArg::Const(WamConst::Atom(*a)),
         Some(Term::Struct(f, args)) if *f == interner.dot() && args.len() == 2 => FirstArg::List,
         Some(Term::Struct(f, args)) => FirstArg::Struct(Functor {
@@ -51,9 +52,16 @@ pub struct PredCode {
     pub clause_entries: Vec<CodeAddr>,
 }
 
-/// Append the code for one predicate to `code`.
+/// The address the next instruction pushed onto `code` gets.
+fn next_addr(code: &[Instr]) -> CodeAddr {
+    CodeAddr::try_from(code.len()).expect("code area under 4 Gi instructions")
+}
+
+/// Append the code for one predicate to `code`, and its switch tables to
+/// `pools`.
 pub fn emit_predicate(
     code: &mut Vec<Instr>,
+    pools: &mut CodePools,
     blocks: Vec<Vec<Instr>>,
     first_args: &[FirstArg],
 ) -> PredCode {
@@ -61,7 +69,7 @@ pub fn emit_predicate(
     assert!(!blocks.is_empty(), "predicates have at least one clause");
 
     if blocks.len() == 1 {
-        let entry = code.len();
+        let entry = next_addr(code);
         code.extend(blocks.into_iter().next().expect("one block"));
         return PredCode {
             entry,
@@ -72,12 +80,8 @@ pub fn emit_predicate(
     let indexable = first_args.iter().all(|f| *f != FirstArg::Var);
     let switch_addr = if indexable {
         let addr = code.len();
-        code.push(Instr::SwitchOnTerm {
-            var: 0,
-            con: 0,
-            lis: 0,
-            str_: 0,
-        });
+        // Patched once the targets exist.
+        code.push(Instr::Fail);
         Some(addr)
     } else {
         None
@@ -85,7 +89,7 @@ pub fn emit_predicate(
 
     // Main chain: try_me_else / retry_me_else / trust_me interleaved with
     // clause code.
-    let chain_start = code.len();
+    let chain_start = next_addr(code);
     let n = blocks.len();
     let mut chain_link_addrs = Vec::with_capacity(n);
     let mut clause_entries = Vec::with_capacity(n);
@@ -98,12 +102,12 @@ pub fn emit_predicate(
         } else {
             code.push(Instr::TrustMe);
         }
-        clause_entries.push(code.len());
+        clause_entries.push(next_addr(code));
         code.extend(block);
     }
     // Patch chain targets: each link points at the next link instruction.
     for i in 0..n - 1 {
-        let next = chain_link_addrs[i + 1];
+        let next = chain_link_addrs[i + 1] as CodeAddr;
         match &mut code[chain_link_addrs[i]] {
             Instr::TryMeElse(l) | Instr::RetryMeElse(l) => *l = next,
             other => unreachable!("chain link is try/retry, got {other:?}"),
@@ -114,7 +118,7 @@ pub fn emit_predicate(
         let mut fail_addr: Option<CodeAddr> = None;
         let mut ensure_fail = |code: &mut Vec<Instr>| -> CodeAddr {
             *fail_addr.get_or_insert_with(|| {
-                let addr = code.len();
+                let addr = next_addr(code);
                 code.push(Instr::Fail);
                 addr
             })
@@ -132,7 +136,7 @@ pub fn emit_predicate(
             .collect();
 
         let emit_try_block = |code: &mut Vec<Instr>, subset: &[usize], entries: &[CodeAddr]| {
-            let addr = code.len();
+            let addr = next_addr(code);
             let k = subset.len();
             for (j, &ci) in subset.iter().enumerate() {
                 if j == 0 {
@@ -178,7 +182,8 @@ pub fn emit_predicate(
                     None => by_const.push((c, vec![ci])),
                 }
             }
-            if by_const.len() == 1 {
+            // A table too long for a span falls back to one bucket.
+            if by_const.len() == 1 || by_const.len() > Span::MAX_LEN {
                 bucket(code, &con_clauses, &mut ensure_fail)
             } else {
                 let mut table: Vec<(WamConst, CodeAddr)> = Vec::new();
@@ -190,8 +195,9 @@ pub fn emit_predicate(
                     };
                     table.push((*c, target));
                 }
-                let addr = code.len();
-                code.push(Instr::SwitchOnConstant(table));
+                let addr = next_addr(code);
+                let span = push_run(&mut pools.const_cases, table).expect("length checked");
+                code.push(Instr::SwitchOnConstant(span));
                 addr
             }
         };
@@ -210,7 +216,7 @@ pub fn emit_predicate(
                     None => by_functor.push((f, vec![ci])),
                 }
             }
-            if by_functor.len() == 1 {
+            if by_functor.len() == 1 || by_functor.len() > Span::MAX_LEN {
                 bucket(code, &str_clauses, &mut ensure_fail)
             } else {
                 let mut table: Vec<(Functor, CodeAddr)> = Vec::new();
@@ -222,19 +228,20 @@ pub fn emit_predicate(
                     };
                     table.push((*f, target));
                 }
-                let addr = code.len();
-                code.push(Instr::SwitchOnStructure(table));
+                let addr = next_addr(code);
+                let span = push_run(&mut pools.struct_cases, table).expect("length checked");
+                code.push(Instr::SwitchOnStructure(span));
                 addr
             }
         };
 
-        code[switch_addr] = Instr::SwitchOnTerm {
+        code[switch_addr] = Instr::SwitchOnTerm(pools.push_term_switch(TermSwitch {
             var: chain_start,
             con: con_target,
             lis: lis_target,
             str_: str_target,
-        };
-        switch_addr
+        }));
+        switch_addr as CodeAddr
     } else {
         chain_start
     };
@@ -253,7 +260,26 @@ mod tests {
     use prolog_syntax::parse_program;
     use std::collections::HashMap;
 
-    fn emit(src: &str, pred: usize) -> (Vec<Instr>, PredCode, prolog_syntax::Interner) {
+    struct Emitted {
+        code: Vec<Instr>,
+        pools: CodePools,
+        pc: PredCode,
+    }
+
+    impl Emitted {
+        fn at(&self, addr: CodeAddr) -> Instr {
+            self.code[addr as usize]
+        }
+
+        fn switch(&self) -> TermSwitch {
+            let Instr::SwitchOnTerm(t) = self.at(self.pc.entry) else {
+                panic!("expected switch, got {:?}", self.at(self.pc.entry));
+            };
+            self.pools.term_switch(t)
+        }
+    }
+
+    fn emit(src: &str, pred: usize) -> Emitted {
         let p = parse_program(src).unwrap();
         let n = normalize_program(&p).unwrap();
         let mut resolve = HashMap::new();
@@ -270,103 +296,95 @@ mod tests {
             .map(|c| first_arg_class(c, &n.interner))
             .collect();
         let mut code = Vec::new();
-        let pc = emit_predicate(&mut code, blocks, &first_args);
-        (code, pc, n.interner)
+        let mut pools = CodePools::default();
+        let pc = emit_predicate(&mut code, &mut pools, blocks, &first_args);
+        Emitted { code, pools, pc }
     }
 
     #[test]
     fn single_clause_has_no_chain() {
-        let (code, pc, _) = emit("p(a).", 0);
-        assert_eq!(pc.entry, 0);
-        assert!(!code
+        let e = emit("p(a).", 0);
+        assert_eq!(e.pc.entry, 0);
+        assert!(!e
+            .code
             .iter()
             .any(|i| matches!(i, Instr::TryMeElse(_) | Instr::TrustMe)));
     }
 
     #[test]
     fn chain_shape_for_three_clauses() {
-        let (code, pc, _) = emit("p(X, a). p(X, b). p(X, c).", 0);
+        let e = emit("p(X, a). p(X, b). p(X, c).", 0);
         // Var first arg → no switch.
-        assert!(matches!(code[pc.entry], Instr::TryMeElse(_)));
-        let Instr::TryMeElse(second) = code[pc.entry] else {
+        let Instr::TryMeElse(second) = e.at(e.pc.entry) else {
             panic!()
         };
-        assert!(matches!(code[second], Instr::RetryMeElse(_)));
-        let Instr::RetryMeElse(third) = code[second] else {
+        let Instr::RetryMeElse(third) = e.at(second) else {
             panic!()
         };
-        assert!(matches!(code[third], Instr::TrustMe));
-        assert_eq!(pc.clause_entries.len(), 3);
+        assert!(matches!(e.at(third), Instr::TrustMe));
+        assert_eq!(e.pc.clause_entries.len(), 3);
     }
 
     #[test]
     fn switch_emitted_when_first_args_bound() {
-        let (code, pc, _) = emit("app([], L, L). app([H|T], L, [H|R]) :- app(T, L, R).", 0);
-        let Instr::SwitchOnTerm {
+        let e = emit("app([], L, L). app([H|T], L, [H|R]) :- app(T, L, R).", 0);
+        let TermSwitch {
             var,
             con,
             lis,
             str_,
-        } = &code[pc.entry]
-        else {
-            panic!("expected switch, got {:?}", code[pc.entry]);
-        };
+        } = e.switch();
         // var → chain; con ([] constant) → clause 1 body; lis → clause 2 body.
-        assert!(matches!(code[*var], Instr::TryMeElse(_)));
-        assert_eq!(*con, pc.clause_entries[0]);
-        assert_eq!(*lis, pc.clause_entries[1]);
+        assert!(matches!(e.at(var), Instr::TryMeElse(_)));
+        assert_eq!(con, e.pc.clause_entries[0]);
+        assert_eq!(lis, e.pc.clause_entries[1]);
         // No structure clauses → fail.
-        assert!(matches!(code[*str_], Instr::Fail));
+        assert!(matches!(e.at(str_), Instr::Fail));
     }
 
     #[test]
     fn second_level_constant_switch() {
-        let (code, pc, _) = emit("c(red, 1). c(green, 2). c(blue, 3).", 0);
-        let Instr::SwitchOnTerm { con, .. } = &code[pc.entry] else {
-            panic!()
+        let e = emit("c(red, 1). c(green, 2). c(blue, 3).", 0);
+        let Instr::SwitchOnConstant(table) = e.at(e.switch().con) else {
+            panic!("expected constant table, got {:?}", e.at(e.switch().con));
         };
-        let Instr::SwitchOnConstant(table) = &code[*con] else {
-            panic!("expected constant table, got {:?}", code[*con]);
-        };
+        let table = e.pools.const_table(table);
         assert_eq!(table.len(), 3);
         for (i, (_, addr)) in table.iter().enumerate() {
-            assert_eq!(*addr, pc.clause_entries[i]);
+            assert_eq!(*addr, e.pc.clause_entries[i]);
         }
     }
 
     #[test]
     fn duplicate_constants_get_try_blocks() {
-        let (code, pc, _) = emit("d(a, 1). d(a, 2). d(b, 3).", 0);
-        let Instr::SwitchOnTerm { con, .. } = &code[pc.entry] else {
+        let e = emit("d(a, 1). d(a, 2). d(b, 3).", 0);
+        let Instr::SwitchOnConstant(table) = e.at(e.switch().con) else {
             panic!()
         };
-        let Instr::SwitchOnConstant(table) = &code[*con] else {
-            panic!()
-        };
+        let table = e.pools.const_table(table);
         assert_eq!(table.len(), 2);
         // The `a` bucket is a try/trust block over clauses 0 and 1.
         let a_target = table[0].1;
-        assert!(matches!(code[a_target], Instr::Try(t) if t == pc.clause_entries[0]));
-        assert!(matches!(code[a_target + 1], Instr::Trust(t) if t == pc.clause_entries[1]));
+        assert!(matches!(e.at(a_target), Instr::Try(t) if t == e.pc.clause_entries[0]));
+        assert!(matches!(e.at(a_target + 1), Instr::Trust(t) if t == e.pc.clause_entries[1]));
     }
 
     #[test]
     fn var_clause_disables_switch() {
-        let (code, pc, _) = emit("p(a). p(X). p(b).", 0);
-        assert!(matches!(code[pc.entry], Instr::TryMeElse(_)));
-        assert!(!code.iter().any(|i| matches!(i, Instr::SwitchOnTerm { .. })));
+        let e = emit("p(a). p(X). p(b).", 0);
+        assert!(matches!(e.at(e.pc.entry), Instr::TryMeElse(_)));
+        assert!(!e.code.iter().any(|i| matches!(i, Instr::SwitchOnTerm(_))));
+        assert!(e.pools.term_switches.is_empty());
     }
 
     #[test]
     fn structure_switch() {
-        let (code, pc, _) = emit("m(f(X), X). m(g(X, Y), X) :- m(f(Y), Y).", 0);
-        let Instr::SwitchOnTerm { str_, con, .. } = &code[pc.entry] else {
-            panic!()
+        let e = emit("m(f(X), X). m(g(X, Y), X) :- m(f(Y), Y).", 0);
+        let TermSwitch { str_, con, .. } = e.switch();
+        let Instr::SwitchOnStructure(table) = e.at(str_) else {
+            panic!("expected structure table, got {:?}", e.at(str_));
         };
-        let Instr::SwitchOnStructure(table) = &code[*str_] else {
-            panic!("expected structure table, got {:?}", code[*str_]);
-        };
-        assert_eq!(table.len(), 2);
-        assert!(matches!(code[*con], Instr::Fail));
+        assert_eq!(e.pools.struct_table(table).len(), 2);
+        assert!(matches!(e.at(con), Instr::Fail));
     }
 }

@@ -3,7 +3,8 @@
 //! This crate is the compilation substrate of the `awam` workspace. It
 //! replaces the PLM compiler the paper used to produce its input WAM code:
 //! [`compile_program`] turns a parsed [`prolog_syntax::Program`] into a
-//! [`CompiledProgram`] — a flat instruction vector plus a predicate table —
+//! [`CompiledProgram`] — a flat vector of 16-byte instructions, the
+//! operand pools they name, and a predicate table —
 //! that is executed *unchanged* by both the concrete machine
 //! (`wam-machine`) and the abstract analyzer (`awam-core`), mirroring the
 //! paper's claim that "the WAM code compiler and the code it generates can
@@ -47,9 +48,9 @@ pub mod norm;
 pub mod text;
 
 pub use builtins::Builtin;
-pub use compile::{compile_program, CompileError, CompiledProgram, PredEntry, PredId};
+pub use compile::{compile_program, CodePools, CompileError, CompiledProgram, PredEntry, PredId};
 pub use fuse::{fuse_program, unfuse_program};
 pub use instr::{
-    CodeAddr, Functor, Instr, PredIdx, Slot, UnifyOp, WamConst, FIRST_FUSED_OPCODE, NUM_OPCODES,
-    OPCODE_NAMES,
+    CodeAddr, Functor, Instr, PredIdx, Slot, Span, TermSwitch, UnifyOp, WamConst, WamInt,
+    FIRST_FUSED_OPCODE, NUM_OPCODES, NUM_REGISTERS, OPCODE_NAMES,
 };

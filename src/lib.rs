@@ -130,7 +130,7 @@ impl fmt::Display for Error {
             Error::Compile(e) => write!(f, "compile error: {e}"),
             Error::Analysis(e) => write!(f, "analysis error: {e}"),
             Error::Machine(e) => write!(f, "runtime error: {e}"),
-            Error::Text(e) => write!(f, "wam text error: {e}"),
+            Error::Text(e) => write!(f, "{e}"),
             Error::Io(e) => write!(f, "io error: {e}"),
             Error::Usage(msg) => write!(f, "{msg}"),
         }

@@ -15,6 +15,7 @@ use awam::testkit::{gen_program, GenConfig, Rng};
 use awam::Analyzer;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 
 thread_local! {
     /// Live heap bytes allocated by this thread (net of its frees).
@@ -171,18 +172,57 @@ fn every_interned_pattern_costs_two_blocks() {
     }
 }
 
-/// A built analyzer for the corpus program: code area, predicate
-/// table, symbol table and seed arena, at exact size (4,292 B in 26
-/// blocks when written; 5,486 B in 75 blocks before names were stored
-/// once and the built state shrunk).
+/// A built analyzer for the corpus program: code area, operand pools,
+/// predicate table, symbol table and seed arena, at exact size. The
+/// seed arena is shared with any live analyzer whose program has the
+/// same arity set, so when another test holds one, dropping frees less:
+/// the bound is an upper bound either way (2,636 B in 21 blocks when
+/// written, with the seed; 4,292 B in 26 blocks before instructions
+/// shrank to 16 bytes and the predicate table went flat; 5,486 B in 75
+/// blocks before names were stored once and the built state shrunk).
 #[test]
 fn built_testkit_analyzer_is_small() {
     let (analyzer, _) = testkit_analyzer();
     let (bytes, blocks) = held(analyzer);
     eprintln!("testkit seed 3: built analyzer holds {bytes} B in {blocks} blocks");
     assert!(
-        bytes <= 4_500 && blocks <= 30,
+        bytes <= 2_700 && blocks <= 21,
         "testkit seed 3: built analyzer holds {bytes} B in {blocks} blocks"
+    );
+}
+
+/// The 1,000 programs of the seed-1 serving corpus (the programs
+/// perfbench's serve_warm registers), each compiled into the
+/// `Arc<Analyzer>` the daemon's program cache keeps, held together: the
+/// cache's share of the daemon's memory. Per program: 3,449 B in 23.9
+/// blocks before instructions shrank to 16 bytes, the predicate table
+/// went flat and programs with one arity set shared one seed arena.
+#[test]
+fn cached_corpus_analyzers_are_small() {
+    const PROGRAMS: i64 = 1_000;
+    let mut rng = Rng::new(1);
+    let config = GenConfig::default();
+    let sources: Vec<String> = (0..PROGRAMS)
+        .map(|_| gen_program(&mut rng, &config).source())
+        .collect();
+    let analyzers: Vec<Arc<Analyzer>> = sources
+        .iter()
+        .map(|source| {
+            let program = awam::syntax::parse_program(source).expect("parses");
+            Arc::new(Analyzer::compile(&program).expect("compiles"))
+        })
+        .collect();
+    let list = (std::mem::size_of_val(analyzers.as_slice()) as i64, 1);
+    let (bytes, blocks) = held(analyzers);
+    let (bytes, blocks) = (bytes - list.0, blocks - list.1);
+    eprintln!(
+        "seed-1 corpus: {PROGRAMS} cached analyzers hold {bytes} B in {blocks} blocks, {:.1} B in {:.2} blocks each",
+        bytes as f64 / PROGRAMS as f64,
+        blocks as f64 / PROGRAMS as f64
+    );
+    assert!(
+        bytes <= 2_000 * PROGRAMS && blocks <= 12 * PROGRAMS,
+        "seed-1 corpus: {PROGRAMS} cached analyzers hold {bytes} B in {blocks} blocks"
     );
 }
 

@@ -18,7 +18,7 @@ use awam::wam::{compile_program, CompiledProgram, NUM_OPCODES, OPCODE_NAMES};
 fn static_opcode_counts(compiled: &CompiledProgram) -> Vec<u64> {
     let mut counts = vec![0u64; NUM_OPCODES];
     for instr in &compiled.code {
-        for constituent in instr.expand() {
+        for constituent in instr.expand(&compiled.pools) {
             counts[constituent.opcode_index()] += 1;
         }
     }

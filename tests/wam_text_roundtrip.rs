@@ -16,6 +16,7 @@ fn benchmarks_round_trip_through_the_text_format() {
         let text = to_text(&compiled);
         let reloaded = from_text(&text).unwrap_or_else(|e| panic!("{}: {e}", b.name));
         assert_eq!(compiled.code, reloaded.code, "{}", b.name);
+        assert_eq!(compiled.pools, reloaded.pools, "{}", b.name);
 
         // Same analysis results from the reloaded code…
         let fresh = Analyzer::from_compiled(compiled);
